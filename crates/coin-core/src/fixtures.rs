@@ -4,8 +4,10 @@
 //! * [`synthetic_system`] — a parameterized n-source deployment for the
 //!   scalability/extensibility experiments (EX-SCALE, EX-EXT).
 
+use std::sync::Arc;
+
 use coin_rel::{Catalog, ColumnType, Schema, Table, Value};
-use coin_wrapper::{figure2_rates_source, RelationalSource, SimWeb};
+use coin_wrapper::{figure2_rates_source, RelationalSource, SimWeb, Source, SourceRef};
 
 use crate::model::{ContextTheory, Conversion, Elevation, ModifierSpec};
 use crate::system::CoinSystem;
@@ -20,6 +22,14 @@ use crate::system::CoinSystem;
 /// * `r3` (web): exchange rates.
 /// * Receiver context `c_recv`: USD, scale-factor 1.
 pub fn figure2_system() -> CoinSystem {
+    figure2_system_with(|source| source)
+}
+
+/// [`figure2_system`] with every source passed through `decorate` before it
+/// is registered — the hook for latency- and fault-injecting decorators.
+pub fn figure2_system_with<S: Source + 'static>(
+    mut decorate: impl FnMut(SourceRef) -> S,
+) -> CoinSystem {
     let (domain, conversions) = crate::model::figure2_domain();
     let mut sys = CoinSystem::new(domain);
     for (m, c) in conversions.iter() {
@@ -52,18 +62,20 @@ pub fn figure2_system() -> CoinSystem {
             vec![Value::str("NTT"), Value::Int(5_000_000)],
         ],
     );
-    sys.add_source(RelationalSource::new(
-        "worldscope",
-        Catalog::new().with_table(r1),
-    ))
-    .unwrap();
-    sys.add_source(RelationalSource::new(
-        "disclosure",
-        Catalog::new().with_table(r2),
-    ))
-    .unwrap();
-    let web = SimWeb::new();
-    sys.add_source(figure2_rates_source(&web)).unwrap();
+    let sources: [SourceRef; 3] = [
+        Arc::new(RelationalSource::new(
+            "worldscope",
+            Catalog::new().with_table(r1),
+        )),
+        Arc::new(RelationalSource::new(
+            "disclosure",
+            Catalog::new().with_table(r2),
+        )),
+        Arc::new(figure2_rates_source(&SimWeb::new())),
+    ];
+    for source in sources {
+        sys.add_source(decorate(source)).unwrap();
+    }
 
     // ---- contexts ----------------------------------------------------------
     sys.add_context(

@@ -9,11 +9,14 @@
 //! mediator and clients.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use coin_rel::Schema;
+use coin_rel::{Schema, Table};
 use coin_sql::normalize::SchemaLookup;
-use coin_wrapper::{Source, SourceRef};
+use coin_sql::Select;
+use coin_wrapper::{Source, SourceError, SourceRef};
 
 /// Dictionary errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,10 +45,159 @@ impl std::fmt::Display for DictError {
 
 impl std::error::Error for DictError {}
 
+/// A source whose fetches take at least this long on average has the
+/// fetching thread's CPU clock read around each of them, so that waiting is
+/// told apart from computing. Reading it takes system calls; faster
+/// sources never pay them (their wait is at most their wall time, which is
+/// then too small to matter to the scheduler in `crate::exec`).
+const MEASURE_FROM_NS: u64 = 125_000;
+
+/// A registered source and what its fetches have been observed to cost.
+/// Clones of a [`Dictionary`] share the observations.
+#[derive(Clone)]
+pub(crate) struct Registered {
+    pub(crate) source: SourceRef,
+    timing: Arc<FetchTiming>,
+}
+
+/// What a source's fetches have cost lately, in nanoseconds. Updated with
+/// plain loads and stores: concurrent fetches may lose a sample, which an
+/// estimate can afford.
+#[derive(Default)]
+struct FetchTiming {
+    /// Wall time of a fetch: a decayed mean.
+    wall_ns: AtomicU64,
+    /// The part of it the fetching thread spent off the CPU: a decayed
+    /// *floor*, which drops to a lower sample at once and creeps up to
+    /// higher ones. A source that answers over a network keeps every fetch
+    /// waiting; a computing one is only kept off the CPU when the machine
+    /// is busy, which is exactly when overlapping it would hurt.
+    wait_ns: AtomicU64,
+}
+
+impl FetchTiming {
+    fn record(&self, wall: u64, wait: u64) {
+        let mean = self.wall_ns.load(Relaxed);
+        self.wall_ns.store(mean - mean / 4 + wall / 4, Relaxed);
+        let floor = self.wait_ns.load(Relaxed);
+        let risen = floor + wait.saturating_sub(floor) / 16;
+        self.wait_ns.store(wait.min(risen), Relaxed);
+    }
+}
+
+impl Registered {
+    /// Run one remote query, recording how long it took and how much of
+    /// that was waiting.
+    pub(crate) fn fetch(&self, select: &Select) -> Result<Table, SourceError> {
+        let timing = &*self.timing;
+        let before = (timing.wall_ns.load(Relaxed) >= MEASURE_FROM_NS).then(ThreadUsage::now);
+        let started = Instant::now();
+        let result = self.source.execute_select(select);
+        let wall = started.elapsed().as_nanos() as u64;
+        let wait = match before {
+            Some(before) => before.waited(wall),
+            // Unmeasured: worth at most what turns measuring on.
+            None => wall.min(MEASURE_FROM_NS),
+        };
+        timing.record(wall, wait);
+        result
+    }
+
+    /// The time a fetch from this source can be expected to wait.
+    pub(crate) fn wait_ns(&self) -> u64 {
+        self.timing.wait_ns.load(Relaxed)
+    }
+}
+
+/// A reading of the calling thread's CPU clock and of how often it has
+/// given the CPU up of its own accord (to sleep, or to block on I/O or a
+/// lock).
+struct ThreadUsage {
+    cpu_ns: u64,
+    blocks: u64,
+}
+
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+impl ThreadUsage {
+    /// Two system calls, bound straight from libc like the pollers in
+    /// `coin-server`: `clock_gettime` because `getrusage` reports CPU time
+    /// only as of the last scheduler tick, `getrusage` for the switch count.
+    fn now() -> ThreadUsage {
+        use std::os::raw::{c_int, c_long};
+
+        /// `struct timespec` / `struct timeval`: two 64-bit longs here.
+        #[repr(C)]
+        #[derive(Default)]
+        struct TimePair {
+            secs: c_long,
+            frac: c_long,
+        }
+        /// `struct rusage` (Linux).
+        #[repr(C)]
+        #[derive(Default)]
+        struct Rusage {
+            ru_utime: TimePair,
+            ru_stime: TimePair,
+            /// `ru_maxrss` … `ru_nsignals`.
+            unused: [c_long; 12],
+            ru_nvcsw: c_long,
+            ru_nivcsw: c_long,
+        }
+        const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+        const RUSAGE_THREAD: c_int = 1;
+        extern "C" {
+            fn clock_gettime(clock: c_int, time: *mut TimePair) -> c_int;
+            fn getrusage(who: c_int, usage: *mut Rusage) -> c_int;
+        }
+
+        let mut cpu = TimePair::default();
+        let mut usage = Rusage::default();
+        // SAFETY: both are valid, exclusively borrowed structs of the
+        // layouts the calls expect, which only write into them; a failing
+        // call leaves its struct zeroed.
+        unsafe {
+            clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut cpu);
+            getrusage(RUSAGE_THREAD, &mut usage);
+        }
+        ThreadUsage {
+            cpu_ns: cpu.secs as u64 * 1_000_000_000 + cpu.frac as u64,
+            blocks: usage.ru_nvcsw as u64,
+        }
+    }
+
+    /// Of the `wall` nanoseconds since this reading, those the thread spent
+    /// waiting: none if it never blocked — then whatever kept it off the
+    /// CPU was other work on a busy machine, not the source — otherwise
+    /// all that it did not compute.
+    fn waited(&self, wall: u64) -> u64 {
+        let now = ThreadUsage::now();
+        if now.blocks == self.blocks {
+            return 0;
+        }
+        wall.saturating_sub(now.cpu_ns.saturating_sub(self.cpu_ns))
+    }
+}
+
+/// Without per-thread accounting all of a fetch's wall time counts as
+/// waiting.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+impl ThreadUsage {
+    fn now() -> ThreadUsage {
+        ThreadUsage {
+            cpu_ns: 0,
+            blocks: 0,
+        }
+    }
+
+    fn waited(&self, wall: u64) -> u64 {
+        wall
+    }
+}
+
 /// The registry of sources and their exported tables.
 #[derive(Clone, Default)]
 pub struct Dictionary {
-    sources: BTreeMap<String, SourceRef>,
+    sources: BTreeMap<String, Registered>,
 }
 
 impl Dictionary {
@@ -59,7 +211,8 @@ impl Dictionary {
         if self.sources.contains_key(&name) {
             return Err(DictError::DuplicateSource(name));
         }
-        self.sources.insert(name, source);
+        let timing = Arc::default();
+        self.sources.insert(name, Registered { source, timing });
         Ok(())
     }
 
@@ -69,13 +222,27 @@ impl Dictionary {
     }
 
     pub fn source(&self, name: &str) -> Result<&SourceRef, DictError> {
+        self.registered(name).map(|r| &r.source)
+    }
+
+    pub(crate) fn registered(&self, name: &str) -> Result<&Registered, DictError> {
         self.sources
             .get(name)
             .ok_or_else(|| DictError::UnknownSource(name.to_owned()))
     }
 
+    /// How long a fetch from this source waits (as opposed to computes): a
+    /// decayed floor over the fetches executed through this dictionary or a
+    /// clone of it. This is the measured communication cost that decides
+    /// whether a wave of fetches overlaps (see `crate::exec`). `None` for
+    /// an unknown source; zero until the source has been fetched from.
+    pub fn observed_wait(&self, name: &str) -> Option<Duration> {
+        let registered = self.sources.get(name)?;
+        Some(Duration::from_nanos(registered.wait_ns()))
+    }
+
     pub fn sources(&self) -> impl Iterator<Item = &SourceRef> {
-        self.sources.values()
+        self.sources.values().map(|r| &r.source)
     }
 
     pub fn source_names(&self) -> Vec<&str> {
@@ -98,7 +265,7 @@ impl Dictionary {
             return Err(DictError::UnknownTable(format!("{hint}.{table}")));
         }
         let mut owner = None;
-        for src in self.sources.values() {
+        for src in self.sources() {
             if src.tables().iter().any(|(t, _)| t == table) {
                 if owner.is_some() {
                     return Err(DictError::AmbiguousTable(table.to_owned()));
@@ -124,8 +291,8 @@ impl Dictionary {
     /// prototype's clients see.
     pub fn listing(&self) -> Vec<(String, String, Schema)> {
         let mut out = Vec::new();
-        for (name, src) in &self.sources {
-            for (table, schema) in src.tables() {
+        for (name, registered) in &self.sources {
+            for (table, schema) in registered.source.tables() {
                 out.push((name.clone(), table, schema));
             }
         }

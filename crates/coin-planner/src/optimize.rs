@@ -416,28 +416,12 @@ impl Planner {
     fn warm_programs(&self, steps: &[FetchStep], local: &Select, cache: &coin_rel::ExprCache) {
         let mut placeholder = coin_rel::Catalog::new();
         for step in steps {
-            let (source, table, binding, remote) = match step {
-                FetchStep::Independent {
-                    source,
-                    table,
-                    binding,
-                    remote,
-                    ..
-                } => (source, table, binding, remote),
-                FetchStep::Dependent {
-                    source,
-                    table,
-                    binding,
-                    remote_base,
-                    ..
-                } => (source, table, binding, remote_base),
-            };
-            let Ok(schema) = self.dictionary.schema_of(Some(source), table) else {
+            let Ok(schema) = (self.dictionary).schema_of(Some(step.source()), step.table()) else {
                 return;
             };
             placeholder.add_table(coin_rel::Table::new(
-                binding,
-                crate::exec::project_schema(&schema, remote),
+                step.binding(),
+                crate::exec::project_schema(&schema, step.remote()),
             ));
         }
         let _ = coin_rel::build_select_pipeline_cached(

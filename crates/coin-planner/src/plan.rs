@@ -60,6 +60,40 @@ impl FetchStep {
         }
     }
 
+    /// The remote table this step reads.
+    pub fn table(&self) -> &str {
+        match self {
+            FetchStep::Independent { table, .. } | FetchStep::Dependent { table, .. } => table,
+        }
+    }
+
+    /// The remote query: complete for an independent step; for a dependent
+    /// one the base that each fetch extends with its parameter equalities.
+    pub fn remote(&self) -> &Select {
+        match self {
+            FetchStep::Independent { remote, .. } => remote,
+            FetchStep::Dependent { remote_base, .. } => remote_base,
+        }
+    }
+
+    /// The parameters each fetch of this step binds (none when independent).
+    pub fn params(&self) -> &[ParamBinding] {
+        match self {
+            FetchStep::Independent { .. } => &[],
+            FetchStep::Dependent { params, .. } => params,
+        }
+    }
+
+    /// Do the two steps send the same remote queries whenever they bind
+    /// the same parameter values? Such steps are answered by one fetch per
+    /// distinct query, whichever branches they sit in.
+    pub fn same_remote(&self, other: &FetchStep) -> bool {
+        self.source() == other.source()
+            && self.remote() == other.remote()
+            && (self.params().iter().map(|p| &p.column))
+                .eq(other.params().iter().map(|p| &p.column))
+    }
+
     pub fn est_cost(&self) -> f64 {
         match self {
             FetchStep::Independent { est_cost, .. } | FetchStep::Dependent { est_cost, .. } => {
@@ -179,11 +213,7 @@ impl QueryPlan {
         let mut out: Vec<&str> = Vec::new();
         for p in &self.branches {
             for step in &p.steps {
-                let t = match step {
-                    FetchStep::Independent { table, .. } | FetchStep::Dependent { table, .. } => {
-                        table.as_str()
-                    }
-                };
+                let t = step.table();
                 if !out.contains(&t) {
                     out.push(t);
                 }
@@ -200,6 +230,42 @@ impl QueryPlan {
                 out.push_str(&format!("branch {}:\n", i + 1));
             }
             out.push_str(&p.explain());
+        }
+        // Steps the fetch scheduler answers together (see `crate::exec`).
+        let steps: Vec<(usize, usize, &FetchStep)> = self
+            .branches
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| !p.const_empty)
+            .flat_map(|(b, p)| p.steps.iter().enumerate().map(move |(i, s)| (b, i, s)))
+            .collect();
+        let mut noted = vec![false; steps.len()];
+        for (at, &(_, _, first)) in steps.iter().enumerate() {
+            if noted[at] {
+                continue;
+            }
+            let mut users = Vec::new();
+            for (k, (b, i, step)) in steps.iter().enumerate().skip(at) {
+                if step.same_remote(first) {
+                    noted[k] = true;
+                    users.push(format!("branch {} step {i}", b + 1));
+                }
+            }
+            if users.len() > 1 {
+                let per = match first.params() {
+                    [] => String::new(),
+                    ps => {
+                        let cols: Vec<&str> = ps.iter().map(|p| p.column.as_str()).collect();
+                        format!(" per distinct ({})", cols.join(", "))
+                    }
+                };
+                out.push_str(&format!(
+                    "shared: source {} answers {} with one fetch{per}\n    {}\n",
+                    first.source(),
+                    users.join(", "),
+                    first.remote()
+                ));
+            }
         }
         out
     }

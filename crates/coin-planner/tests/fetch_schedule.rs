@@ -1,0 +1,254 @@
+//! The fetch scheduler's contract (`coin_planner::exec`): identical remote
+//! queries run once per execution, fetches that wait overlap and fetches
+//! that do not stay on the calling thread, cancellation is seen between
+//! waves, and a failing or panicking source neither leaks a thread nor
+//! spoils the plan.
+
+mod support;
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering::SeqCst;
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+use coin_planner::{execute_plan, PlanError, Planner, QueryPlan};
+use coin_rel::{CancelToken, EngineError, ExecError, Value};
+use coin_wrapper::{Source, SourceError};
+
+use support::{injected_figure2, Latency, Probes, MEDIATED_Q1};
+
+/// Several tests here assert on elapsed time or on where a fetch ran, and a
+/// thread kept off a busy CPU looks like a thread that waits: one at a time.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static QUIET: Mutex<()> = Mutex::new(());
+    QUIET
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn q1(latency: Latency) -> (Planner, QueryPlan, Probes) {
+    let (dict, probes) = injected_figure2(latency);
+    let planner = Planner::new(dict);
+    let plan = planner
+        .plan_query(&coin_sql::parse_query(MEDIATED_Q1).unwrap())
+        .unwrap();
+    assert_eq!(plan.branches.len(), 3);
+    (planner, plan, probes)
+}
+
+fn ntt() -> Vec<Vec<Value>> {
+    vec![vec![Value::str("NTT"), Value::Float(9_600_000.0)]]
+}
+
+#[test]
+fn q1_sends_each_distinct_remote_query_once() {
+    let _quiet = one_at_a_time();
+    let (planner, plan, probes) = q1(Latency::None);
+    // Seven fetch requests, five distinct queries: the three branches ask
+    // `disclosure` for the same projection of r2, and the rate lookup of the
+    // branch for other currencies has no currency to look up.
+    for execution in 1..=3 {
+        let (table, stats) = planner.execute_planned(&plan).unwrap();
+        assert_eq!(table.rows, ntt());
+        assert_eq!(stats.remote_queries, 5);
+        assert_eq!(stats.rows_shipped, 5);
+        assert_eq!(probes.of("disclosure").calls.load(SeqCst), execution);
+        assert_eq!(probes.of("worldscope").calls.load(SeqCst), 3 * execution);
+        assert_eq!(probes.of("forex").calls.load(SeqCst), execution);
+        let disclosure = planner.dictionary.source("disclosure").unwrap();
+        assert_eq!(disclosure.query_count(), execution);
+    }
+}
+
+#[test]
+fn explain_names_the_shared_fetches() {
+    let _quiet = one_at_a_time();
+    let (_, plan, _) = q1(Latency::None);
+    let explain = plan.explain();
+    assert!(
+        explain.contains(
+            "shared: source disclosure answers branch 1 step 1, branch 2 step 1, \
+             branch 3 step 1 with one fetch\n    SELECT cname, expenses FROM r2"
+        ),
+        "{explain}"
+    );
+    assert!(
+        explain.contains(
+            "shared: source forex answers branch 1 step 2, branch 3 step 2 \
+             with one fetch per distinct (fromCur)"
+        ),
+        "{explain}"
+    );
+    // The three r1 fetches differ in their pushed-down predicate.
+    assert!(!explain.contains("shared: source worldscope"), "{explain}");
+}
+
+#[test]
+fn answers_are_those_of_the_branches_run_alone() {
+    let _quiet = one_at_a_time();
+    let (planner, mut plan, _) = q1(Latency::None);
+    // Under UNION ALL the merged rows are the branches' rows in order.
+    plan.all = true;
+    let mut alone = Vec::new();
+    for branch in &plan.branches {
+        alone.extend(execute_plan(branch, &planner.dictionary).unwrap().0.rows);
+    }
+    let (together, _) = planner.execute_planned(&plan).unwrap();
+    assert_eq!(together.rows, alone);
+    assert_eq!(together.rows, ntt());
+}
+
+#[test]
+fn waiting_sources_overlap_after_one_warm_up() {
+    let _quiet = one_at_a_time();
+    const LATENCY: Duration = Duration::from_millis(20);
+    let (planner, plan, probes) = q1(Latency::Sleep(LATENCY));
+    // Nothing is known about the sources yet: five fetches in a row.
+    let started = Instant::now();
+    planner.execute_planned(&plan).unwrap();
+    assert!(started.elapsed() >= 5 * LATENCY);
+    let wait = planner.dictionary.observed_wait("worldscope").unwrap();
+    assert!(wait > Duration::from_millis(1), "{wait:?}");
+
+    // Now worldscope is known to wait, so wave {r1 ×3, r2} overlaps and only
+    // wave {r3[JPY]} follows it: two latencies, where one fetch after
+    // another takes five and one branch after another took seven.
+    let started = Instant::now();
+    let (table, stats) = planner.execute_planned(&plan).unwrap();
+    let took = started.elapsed();
+    assert_eq!(table.rows, ntt());
+    assert_eq!(stats.remote_queries, 5);
+    assert!(took >= 2 * LATENCY, "{took:?}");
+    assert!(took < 3 * LATENCY, "{took:?}");
+    let here = std::thread::current().id();
+    assert!(probes.all().any(|p| p.threads().iter().any(|t| *t != here)));
+    assert!(probes.all().all(|p| p.in_flight.load(SeqCst) == 0));
+}
+
+#[test]
+fn fast_sources_are_fetched_on_the_calling_thread() {
+    let _quiet = one_at_a_time();
+    let (planner, plan, probes) = q1(Latency::None);
+    for _ in 0..50 {
+        planner.execute_planned(&plan).unwrap();
+    }
+    let here = std::thread::current().id();
+    for probe in probes.all() {
+        assert!(probe.threads().iter().all(|t| *t == here));
+    }
+}
+
+#[test]
+fn cpu_busy_sources_never_fan_out() {
+    let _quiet = one_at_a_time();
+    // As slow as a source that would be worth overlapping, but computing,
+    // not waiting: a second thread would only compete for the processor.
+    let (planner, plan, probes) = q1(Latency::Spin(Duration::from_millis(2)));
+    for _ in 0..12 {
+        planner.execute_planned(&plan).unwrap();
+    }
+    let here = std::thread::current().id();
+    for probe in probes.all() {
+        assert!(probe.threads().iter().all(|t| *t == here));
+    }
+    let wait = planner.dictionary.observed_wait("worldscope").unwrap();
+    assert!(wait < Duration::from_micros(500), "{wait:?}");
+}
+
+#[test]
+fn cancellation_is_seen_between_waves() {
+    let _quiet = one_at_a_time();
+    let token = CancelToken::new();
+    // Every wave-0 fetch cancels; `forex` is only asked in wave 1.
+    let (dict, probes) =
+        support::injected_figure2_with(Latency::None, |injected| match injected.name() {
+            "forex" => injected,
+            _ => injected.cancelling(token.clone()),
+        });
+    let planner = Planner::new(dict);
+    let plan = planner
+        .plan_query(&coin_sql::parse_query(MEDIATED_Q1).unwrap())
+        .unwrap();
+    let calls =
+        || ["worldscope", "disclosure", "forex"].map(|source| probes.of(source).calls.load(SeqCst));
+    let result = planner.execute_planned_stream(&plan, Some(token.clone()));
+    assert!(matches!(
+        result.err(),
+        Some(PlanError::Engine(EngineError::Exec(ExecError::Cancelled)))
+    ));
+    // worldscope ×3 and disclosure ×1 ran; the rate lookup was never sent.
+    assert_eq!(calls(), [3, 1, 0]);
+
+    // A token cancelled beforehand sends nothing at all.
+    let result = planner.execute_planned_stream(&plan, Some(token));
+    assert!(result.is_err());
+    assert_eq!(calls(), [3, 1, 0]);
+}
+
+/// Q1 over sources 5 ms away — but for `disclosure`, which answers (or
+/// fails) at once — executed often enough that its first wave fans out.
+fn q1_fanning_out() -> (Planner, QueryPlan, Probes) {
+    let slow = Latency::Sleep(Duration::from_millis(5));
+    let (dict, probes) = support::injected_figure2_with(slow, |injected| match injected.name() {
+        "disclosure" => injected.latency(Latency::None),
+        _ => injected,
+    });
+    let planner = Planner::new(dict);
+    let plan = planner
+        .plan_query(&coin_sql::parse_query(MEDIATED_Q1).unwrap())
+        .unwrap();
+    for _ in 0..3 {
+        planner.execute_planned(&plan).unwrap();
+    }
+    let here = std::thread::current().id();
+    let before = probes.of("disclosure").threads().len();
+    planner.execute_planned(&plan).unwrap();
+    // disclosure's fetch is the wave's second job: a helper's.
+    assert_ne!(probes.of("disclosure").threads()[before], here);
+    (planner, plan, probes)
+}
+
+#[test]
+fn the_first_failure_in_plan_order_is_reported_and_nothing_is_left_running() {
+    let _quiet = one_at_a_time();
+    let (planner, plan, probes) = q1_fanning_out();
+    // Wave 0 is {r1[JPY], r2, r1[USD], r1[other]}. disclosure fails at
+    // once, on a helper, 5 ms before worldscope's first fetch fails on the
+    // caller: the later failure is the first in plan order, and the one
+    // reported — as if the jobs had run one after another.
+    probes.of("worldscope").fail.store(true, SeqCst);
+    probes.of("disclosure").fail.store(true, SeqCst);
+    let forex_before = probes.of("forex").calls.load(SeqCst);
+    match planner.execute_planned(&plan) {
+        Err(PlanError::Source(SourceError::Unsupported(m))) => assert_eq!(m, "worldscope injected"),
+        other => panic!("{other:?}"),
+    }
+    assert!(probes.all().all(|p| p.in_flight.load(SeqCst) == 0));
+    assert_eq!(probes.of("forex").calls.load(SeqCst), forex_before);
+
+    // Only the later job fails: that is the error.
+    probes.of("worldscope").fail.store(false, SeqCst);
+    match planner.execute_planned(&plan) {
+        Err(PlanError::Source(SourceError::Unsupported(m))) => assert_eq!(m, "disclosure injected"),
+        other => panic!("{other:?}"),
+    }
+    assert!(probes.all().all(|p| p.in_flight.load(SeqCst) == 0));
+    // The fault clears: the same plan answers again.
+    probes.of("disclosure").fail.store(false, SeqCst);
+    assert_eq!(planner.execute_planned(&plan).unwrap().0.rows, ntt());
+}
+
+#[test]
+fn a_panic_on_a_helper_thread_continues_on_the_caller() {
+    let _quiet = one_at_a_time();
+    let (planner, plan, probes) = q1_fanning_out();
+    probes.of("disclosure").panic.store(true, SeqCst);
+    let unwound = catch_unwind(AssertUnwindSafe(|| planner.execute_planned(&plan)));
+    let payload = unwound.expect_err("the source's panic reaches the caller");
+    let message = payload.downcast_ref::<String>().expect("a formatted panic");
+    assert_eq!(message, "disclosure injected panic");
+    assert!(probes.all().all(|p| p.in_flight.load(SeqCst) == 0));
+
+    probes.of("disclosure").panic.store(false, SeqCst);
+    assert_eq!(planner.execute_planned(&plan).unwrap().0.rows, ntt());
+}

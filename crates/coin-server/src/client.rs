@@ -9,6 +9,7 @@
 //! receiver context), [`Statement`] prepares and executes SQL, and
 //! [`ResultSet`] exposes columns/rows plus the mediation provenance.
 
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -223,6 +224,12 @@ impl Connection {
             Some(Json::Obj(parts)) => parts.len() as u64,
             _ => 0,
         };
+        let source_wait_us = match doc.get("source_wait_us") {
+            Some(Json::Obj(waits)) => (waits.iter())
+                .map(|(source, us)| (source.clone(), us.as_f64().unwrap_or(0.0) as u64))
+                .collect(),
+            _ => BTreeMap::new(),
+        };
         Ok(ServerStats {
             epoch: num("epoch"),
             cache_hits: num("cache_hits"),
@@ -234,6 +241,7 @@ impl Connection {
             cache_capacity: num("cache_capacity"),
             axioms: num("axioms"),
             tracked_model_parts,
+            source_wait_us,
         })
     }
 
@@ -370,7 +378,7 @@ fn decode_result(doc: &Json) -> Result<ResultSet, ClientError> {
 /// Cumulative server-side mediation statistics (`GET /stats`). Servers
 /// that predate the endpoint simply fail the request; all fields decode
 /// leniently to 0 when absent.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
     pub epoch: u64,
     pub cache_hits: u64,
@@ -389,6 +397,10 @@ pub struct ServerStats {
     /// server's `model_versions` map (0 from older servers that only
     /// report the scalar epoch).
     pub tracked_model_parts: u64,
+    /// Per source, the microseconds one fetch from it has lately been seen
+    /// to wait — the measured communication cost behind the server's
+    /// decision to overlap fetches (empty from older servers).
+    pub source_wait_us: BTreeMap<String, u64>,
 }
 
 /// A fetched result set.

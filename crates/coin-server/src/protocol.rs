@@ -482,6 +482,13 @@ fn stats_response(system: &CoinSystem) -> HttpResponse {
         .map(|(part, v)| (part.to_string(), Json::Num(v as f64)))
         .collect();
     let model_versions = Json::Obj(versions);
+    // What the fetch scheduler has measured of each source: the time one of
+    // its fetches waits, which decides whether fetches overlap.
+    let dictionary = system.dictionary();
+    let waits = (dictionary.source_names().into_iter())
+        .filter_map(|name| Some((name, dictionary.observed_wait(name)?)))
+        .map(|(name, wait)| (name.to_owned(), Json::Num(wait.as_micros() as f64)))
+        .collect();
     HttpResponse::json(&Json::obj([
         ("epoch", Json::Num(system.epoch() as f64)),
         ("cache_hits", Json::Num(cache.hits as f64)),
@@ -493,6 +500,7 @@ fn stats_response(system: &CoinSystem) -> HttpResponse {
         ("cache_capacity", Json::Num(cache.capacity as f64)),
         ("axioms", Json::Num(system.axiom_count() as f64)),
         ("model_versions", model_versions),
+        ("source_wait_us", Json::Obj(waits)),
     ]))
 }
 

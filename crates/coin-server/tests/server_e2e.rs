@@ -167,6 +167,10 @@ fn stats_endpoint_reports_cumulative_counters() {
     assert_eq!(before.cache_misses, 0);
     assert!(before.cache_capacity > 0);
     assert!(before.epoch > 0, "figure-2 administration bumped the epoch");
+    // Every registered source has a measured wait, zero before any fetch.
+    let sources: Vec<&str> = before.source_wait_us.keys().map(String::as_str).collect();
+    assert_eq!(sources, ["disclosure", "forex", "worldscope"]);
+    assert!(before.source_wait_us.values().all(|us| *us == 0));
 
     conn.statement().execute(Q1).unwrap(); // miss
     conn.statement().execute(Q1).unwrap(); // hit
@@ -180,5 +184,8 @@ fn stats_endpoint_reports_cumulative_counters() {
         after.epoch, before.epoch,
         "queries must not mutate the model"
     );
+    // In-process sources answer in microseconds: nothing worth overlapping.
+    assert_eq!(after.source_wait_us.len(), 3);
+    assert!(after.source_wait_us.values().all(|us| *us < 500));
     server.stop();
 }

@@ -128,6 +128,34 @@ pub trait Source: Send + Sync {
 /// Shared handle to a source.
 pub type SourceRef = Arc<dyn Source>;
 
+/// A shared handle is itself a source, so a decorator can wrap a
+/// [`SourceRef`] and a wrapped or bare handle registers like any source.
+impl<S: Source + ?Sized> Source for Arc<S> {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn tables(&self) -> Vec<(String, Schema)> {
+        (**self).tables()
+    }
+
+    fn capabilities(&self) -> &Capabilities {
+        (**self).capabilities()
+    }
+
+    fn execute_select(&self, select: &Select) -> Result<Table, SourceError> {
+        (**self).execute_select(select)
+    }
+
+    fn query_count(&self) -> usize {
+        (**self).query_count()
+    }
+
+    fn estimated_cardinality(&self, table: &str) -> Option<usize> {
+        (**self).estimated_cardinality(table)
+    }
+}
+
 // ---------------------------------------------------------------------------
 
 /// A relational source: a wrapped database (the prototype's Oracle sources).
