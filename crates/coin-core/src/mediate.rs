@@ -26,6 +26,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 use coin_logic::{CmpOp, Program, Solver, SolverConfig, Term};
 use coin_rel::Value;
@@ -117,9 +118,26 @@ pub struct Mediated {
     /// elevations, every applied conversion function, and every relation
     /// appearing in a mediated branch (ancillary joins included).
     pub deps: PlanDeps,
+    /// `query` and [`Mediated::explain`] as text, rendered on first use so
+    /// a cached plan prints them once however many replies carry them.
+    /// Kept exactly sized: a cache holds one per plan for its lifetime.
+    sql_text: OnceLock<Box<str>>,
+    explanation: OnceLock<Box<str>>,
 }
 
 impl Mediated {
+    /// The mediated query as SQL text, rendered once.
+    pub fn sql_text(&self) -> &str {
+        self.sql_text
+            .get_or_init(|| self.query.to_string().into_boxed_str())
+    }
+
+    /// [`Mediated::explain`], rendered once.
+    pub fn explanation(&self) -> &str {
+        self.explanation
+            .get_or_init(|| self.explain().into_boxed_str())
+    }
+
     /// A human-readable mediation report.
     pub fn explain(&self) -> String {
         let mut out = String::new();
@@ -239,6 +257,8 @@ impl<'a> Mediator<'a> {
                 program_text,
                 statements,
                 deps,
+                sql_text: OnceLock::new(),
+                explanation: OnceLock::new(),
             });
         }
 
@@ -268,6 +288,8 @@ impl<'a> Mediator<'a> {
             program_text,
             statements,
             deps,
+            sql_text: OnceLock::new(),
+            explanation: OnceLock::new(),
         })
     }
 

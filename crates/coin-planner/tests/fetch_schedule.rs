@@ -99,6 +99,42 @@ fn answers_are_those_of_the_branches_run_alone() {
 }
 
 #[test]
+fn a_fetch_staged_for_several_branches_is_copied_not_moved() {
+    let _quiet = one_at_a_time();
+    // A scan takes a staged table's rows by move only when it holds the
+    // last handle. Q1's r2 fetch is staged for all three branches, so each
+    // branch's scan copies it and every branch still sees all of r2.
+    let (planner, mut plan, probes) = q1(Latency::None);
+    plan.all = true;
+    let alone: Vec<Vec<Vec<Value>>> = (plan.branches.iter())
+        .map(|branch| execute_plan(branch, &planner.dictionary).unwrap().0.rows)
+        .collect();
+    let (together, stats) = planner.execute_planned(&plan).unwrap();
+    assert_eq!(together.rows, alone.concat());
+    assert_eq!(stats.remote_queries, 5);
+
+    // Three branches that each read the whole shared fetch.
+    let r2 = "SELECT cname, expenses FROM r2";
+    let thrice = format!("{r2} UNION ALL {r2} UNION ALL {r2}");
+    let plan = planner
+        .plan_query(&coin_sql::parse_query(&thrice).unwrap())
+        .unwrap();
+    assert_eq!(plan.branches.len(), 3);
+    let rows = vec![
+        vec![Value::str("IBM"), Value::Int(1_500_000_000)],
+        vec![Value::str("NTT"), Value::Int(5_000_000)],
+    ];
+    let calls = probes.of("disclosure").calls.load(SeqCst);
+    for execution in 1..=2 {
+        let (table, stats) = planner.execute_planned(&plan).unwrap();
+        assert_eq!(table.rows, [&rows[..], &rows, &rows].concat());
+        assert_eq!(stats.remote_queries, 1);
+        let sent = probes.of("disclosure").calls.load(SeqCst) - calls;
+        assert_eq!(sent, execution);
+    }
+}
+
+#[test]
 fn waiting_sources_overlap_after_one_warm_up() {
     let _quiet = one_at_a_time();
     const LATENCY: Duration = Duration::from_millis(20);

@@ -348,13 +348,29 @@ pub fn build_select_pipeline_cached(
         .map(|w| w.conjuncts().into_iter().cloned().collect())
         .unwrap_or_default();
     let mut used = vec![false; conjuncts.len()];
+    let needs_agg = !s.group_by.is_empty()
+        || s.items.iter().any(|i| match i {
+            SelectItem::Expr { expr, .. } => expr.has_aggregate(),
+            _ => false,
+        })
+        || s.having.as_ref().is_some_and(Expr::has_aggregate);
+    // One table with nothing to filter, aggregate or sort: a projection of
+    // bare columns becomes a pruned scan that copies only those columns.
+    let prunable = s.from.len() == 1 && conjuncts.is_empty() && !needs_agg && s.order_by.is_empty();
+    // Output schema of the pruned scan, when one was built.
+    let mut pruned: Option<Schema> = None;
 
     let mut op: Option<BoxOp> = None;
     let mut bound: Vec<String> = Vec::new();
+    // Upper bound on the rows of `op`: the product of its tables' row
+    // counts, unknown once a feed is involved.
+    let mut op_rows: Option<usize> = Some(1);
 
     for t in &s.from {
         let binding = t.binding().to_owned();
+        let scan_rows;
         let mut scan: BoxOp = if let Some(feed) = feeds.remove(&t.table) {
+            scan_rows = None;
             let schema = feed.schema().qualified(&binding);
             Box::new(Rebrand::new(feed, schema))
         } else {
@@ -363,8 +379,25 @@ pub fn build_select_pipeline_cached(
                 .cloned()
                 .or_else(|| catalog.get_shared(&t.table))
                 .ok_or_else(|| EngineError::UnknownTable(t.table.clone()))?;
+            scan_rows = Some(table.rows.len());
             let schema = table.schema.qualified(&binding);
-            Box::new(TableScan::new(table, schema))
+            let columns = if prunable {
+                let (exprs, out) = project_items(&s.items, &schema)?;
+                bare_columns(&exprs).map(|columns| (columns, out))
+            } else {
+                None
+            };
+            match columns {
+                Some((columns, out)) => {
+                    // As on the `Project` path: the operator gets the copy
+                    // and the result keeps the original, so a fetch leaves
+                    // the same allocations behind whichever path built it.
+                    let scan = Box::new(TableScan::pruned(table, columns, out.clone()));
+                    pruned = Some(out);
+                    scan
+                }
+                None => Box::new(TableScan::new(table, schema)),
+            }
         };
         if let Some(token) = &cancel {
             scan = Box::new(CancelGuard::new(scan, token.clone()));
@@ -444,14 +477,17 @@ pub fn build_select_pipeline_cached(
                     let pred = Expr::conjoin(inner)
                         .map(|p| compile(&p, &combined_schema))
                         .transpose()?;
-                    Box::new(NestedLoopJoin::compiled(
-                        acc,
-                        scan,
-                        pred.map(|p| lower(&p, cache)),
-                    ))
+                    let join = NestedLoopJoin::compiled(acc, scan, pred.map(|p| lower(&p, cache)));
+                    // Hold whichever side is smaller, so the larger one
+                    // streams and the first row leaves early.
+                    match (op_rows, scan_rows) {
+                        (Some(l), Some(r)) if l < r => Box::new(join.holding_left()),
+                        _ => Box::new(join),
+                    }
                 }
             }
         });
+        op_rows = op_rows.zip(scan_rows).map(|(l, r)| l.saturating_mul(r));
         bound.push(binding);
     }
 
@@ -470,15 +506,10 @@ pub fn build_select_pipeline_cached(
     }
 
     // ---- aggregation or plain projection --------------------------------
-    let needs_agg = !s.group_by.is_empty()
-        || s.items.iter().any(|i| match i {
-            SelectItem::Expr { expr, .. } => expr.has_aggregate(),
-            _ => false,
-        })
-        || s.having.as_ref().is_some_and(Expr::has_aggregate);
-
     let mut out_schema;
-    if needs_agg {
+    if let Some(schema) = pruned {
+        out_schema = schema;
+    } else if needs_agg {
         let (agg_op, schema, having, order_keys) = build_aggregate(&s, op, cache)?;
         op = agg_op;
         out_schema = schema;
@@ -517,24 +548,8 @@ pub fn build_select_pipeline_cached(
         if !pre_keys.is_empty() {
             op = Box::new(Sort::new(op, pre_keys));
         }
-        let mut exprs = Vec::new();
-        let mut cols = Vec::new();
-        for item in &s.items {
-            match item {
-                SelectItem::Expr { expr, alias } => {
-                    let compiled = compile(expr, op.schema())?;
-                    let name = alias.clone().unwrap_or_else(|| expr.to_string());
-                    let ty = match &compiled {
-                        crate::expr::CExpr::Col(i) => op.schema().columns[*i].ty,
-                        _ => ColumnType::Any,
-                    };
-                    exprs.push(compiled);
-                    cols.push(Column::new(&name, ty));
-                }
-                _ => unreachable!("wildcards expanded by normalize"),
-            }
-        }
-        out_schema = Schema::new(cols);
+        let exprs;
+        (exprs, out_schema) = project_items(&s.items, op.schema())?;
         let progs = exprs.iter().map(|e| lower(e, cache)).collect();
         op = Box::new(Project::compiled(op, progs, out_schema.clone()));
         if !deferred.is_empty() {
@@ -563,6 +578,43 @@ pub fn build_select_pipeline_cached(
     }
 
     Ok((out_schema, op))
+}
+
+/// Compile the (wildcard-free) select items over `input`: one expression
+/// and one output column per item.
+fn project_items(
+    items: &[SelectItem],
+    input: &Schema,
+) -> Result<(Vec<CExpr>, Schema), EngineError> {
+    let mut exprs = Vec::new();
+    let mut cols = Vec::new();
+    for item in items {
+        match item {
+            SelectItem::Expr { expr, alias } => {
+                let compiled = compile(expr, input)?;
+                let name = alias.clone().unwrap_or_else(|| expr.to_string());
+                let ty = match &compiled {
+                    CExpr::Col(i) => input.columns[*i].ty,
+                    _ => ColumnType::Any,
+                };
+                exprs.push(compiled);
+                cols.push(Column::new(&name, ty));
+            }
+            _ => unreachable!("wildcards expanded by normalize"),
+        }
+    }
+    Ok((exprs, Schema::new(cols)))
+}
+
+/// The input columns a projection copies when every expression is a bare
+/// column; `None` when any computes something.
+fn bare_columns(exprs: &[CExpr]) -> Option<Vec<usize>> {
+    (exprs.iter())
+        .map(|e| match e {
+            CExpr::Col(i) => Some(*i),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Build the aggregation pipeline. Returns the operator (producing

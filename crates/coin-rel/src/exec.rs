@@ -99,15 +99,27 @@ impl Operator for ValuesScan {
     }
 }
 
-/// Scan over a shared table, cloning one row per pull.
+/// Scan over a shared table, optionally pruned to a list of columns.
 ///
-/// Unlike [`ValuesScan`] (which owns its rows and is handed freshly built
-/// vectors), a `TableScan` borrows the table through an `Arc` so arbitrarily
-/// many pipelines can scan the same staged data without copying it up
-/// front — the per-row clone is cheap (values are scalars or `Arc<str>`).
+/// A `TableScan` holds its table through an `Arc`, so building one copies
+/// nothing. On its first pull it checks whether it holds the only handle
+/// left: a staged fetch whose catalog has been dropped usually is. Then it
+/// takes the rows by move and yields them without copying. A table that is
+/// still shared (a source's own catalog, a fetch staged for several
+/// branches, both sides of a self-join) is left intact and each row is
+/// cloned as it is pulled; that clone is cheap, since values are scalars or
+/// `Arc<str>`.
+///
+/// A pruned scan ([`TableScan::pruned`]) yields only the listed columns, in
+/// order, copying just those: a bare-column projection needs no `Project`.
 pub struct TableScan {
     table: Arc<Table>,
     schema: Schema,
+    /// Table columns each output row is made of; `None` for whole rows.
+    columns: Option<Vec<usize>>,
+    /// The rows, once taken by move on the first pull.
+    owned: Option<std::vec::IntoIter<Row>>,
+    started: bool,
     pos: usize,
 }
 
@@ -116,9 +128,24 @@ impl TableScan {
     /// qualified by a FROM binding; arities must match).
     pub fn new(table: Arc<Table>, schema: Schema) -> TableScan {
         debug_assert_eq!(table.schema.len(), schema.len());
+        TableScan::build(table, None, schema)
+    }
+
+    /// Scan only `columns` of `table` (in that order, repeats allowed),
+    /// announcing `schema`, which has one column per entry.
+    pub fn pruned(table: Arc<Table>, columns: Vec<usize>, schema: Schema) -> TableScan {
+        debug_assert_eq!(columns.len(), schema.len());
+        debug_assert!(columns.iter().all(|&i| i < table.schema.len()));
+        TableScan::build(table, Some(columns), schema)
+    }
+
+    fn build(table: Arc<Table>, columns: Option<Vec<usize>>, schema: Schema) -> TableScan {
         TableScan {
             table,
             schema,
+            columns,
+            owned: None,
+            started: false,
             pos: 0,
         }
     }
@@ -130,9 +157,26 @@ impl Operator for TableScan {
     }
 
     fn next(&mut self) -> Result<Option<Row>, ExecError> {
-        let row = self.table.rows.get(self.pos).cloned();
-        self.pos += row.is_some() as usize;
-        Ok(row)
+        if !self.started {
+            self.started = true;
+            if let Some(table) = Arc::get_mut(&mut self.table) {
+                self.owned = Some(std::mem::take(&mut table.rows).into_iter());
+            }
+        }
+        let pick =
+            |row: &Row, cols: &[usize]| -> Row { cols.iter().map(|&i| row[i].clone()).collect() };
+        Ok(match (&mut self.owned, &self.columns) {
+            (Some(rows), None) => rows.next(),
+            (Some(rows), Some(cols)) => rows.next().map(|row| pick(&row, cols)),
+            (None, columns) => {
+                let row = self.table.rows.get(self.pos);
+                self.pos += row.is_some() as usize;
+                row.map(|row| match columns {
+                    None => row.clone(),
+                    Some(cols) => pick(row, cols),
+                })
+            }
+        })
     }
 }
 
@@ -326,18 +370,35 @@ impl Operator for Project {
     }
 }
 
+/// A joined row `l ++ r`, built in one allocation of exact size.
+fn concat(l: &[Value], r: &[Value]) -> Row {
+    let mut row = Vec::with_capacity(l.len() + r.len());
+    row.extend_from_slice(l);
+    row.extend_from_slice(r);
+    row
+}
+
 /// Nested-loop join with an optional residual predicate (evaluated over the
-/// concatenated row). The right input is materialized on first use.
+/// concatenated row).
+///
+/// One input is held in memory, loaded on the first pull; the other is
+/// streamed past it, so the first joined row leaves after one row of the
+/// streamed input. The right input is held unless
+/// [`NestedLoopJoin::holding_left`] chose the left one (the engine does when
+/// the left input is known to be the smaller). Output rows are always
+/// `left ++ right`; only their order depends on which side is held.
 pub struct NestedLoopJoin {
-    left: BoxOp,
-    right_rows: Vec<Row>,
-    right_loaded: bool,
-    right_src: Option<BoxOp>,
+    /// The input streamed past the held rows.
+    streamed: BoxOp,
+    /// The held input, until it is loaded into `held_rows`.
+    held: Option<BoxOp>,
+    held_rows: Vec<Row>,
+    hold_left: bool,
     predicate: Option<Arc<ExprProg>>,
     regs: Vec<Value>,
     schema: Schema,
-    current_left: Option<Row>,
-    right_pos: usize,
+    current: Option<Row>,
+    held_pos: usize,
 }
 
 impl NestedLoopJoin {
@@ -350,16 +411,26 @@ impl NestedLoopJoin {
     pub fn compiled(left: BoxOp, right: BoxOp, predicate: Option<Arc<ExprProg>>) -> NestedLoopJoin {
         let schema = left.schema().join(right.schema());
         NestedLoopJoin {
-            left,
-            right_rows: Vec::new(),
-            right_loaded: false,
-            right_src: Some(right),
+            streamed: left,
+            held: Some(right),
+            held_rows: Vec::new(),
+            hold_left: false,
             predicate,
             regs: Vec::new(),
             schema,
-            current_left: None,
-            right_pos: 0,
+            current: None,
+            held_pos: 0,
         }
+    }
+
+    /// Hold the left input in memory and stream the right one instead.
+    pub fn holding_left(mut self) -> NestedLoopJoin {
+        if !self.hold_left {
+            let right = self.held.take().expect("built, not yet pulled");
+            self.held = Some(std::mem::replace(&mut self.streamed, right));
+            self.hold_left = true;
+        }
+        self
     }
 }
 
@@ -369,31 +440,32 @@ impl Operator for NestedLoopJoin {
     }
 
     fn next(&mut self) -> Result<Option<Row>, ExecError> {
-        if !self.right_loaded {
-            let src = self.right_src.take().expect("right source present");
-            self.right_rows = drain(src)?;
-            self.right_loaded = true;
+        if let Some(held) = self.held.take() {
+            self.held_rows = drain(held)?;
         }
         loop {
-            if self.current_left.is_none() {
-                self.current_left = self.left.next()?;
-                self.right_pos = 0;
-                if self.current_left.is_none() {
+            if self.current.is_none() {
+                self.current = self.streamed.next()?;
+                self.held_pos = 0;
+                if self.current.is_none() {
                     return Ok(None);
                 }
             }
-            let l = self.current_left.as_ref().unwrap();
-            while self.right_pos < self.right_rows.len() {
-                let r = &self.right_rows[self.right_pos];
-                self.right_pos += 1;
-                let mut combined = l.clone();
-                combined.extend(r.iter().cloned());
+            let s = self.current.as_ref().unwrap();
+            while self.held_pos < self.held_rows.len() {
+                let h = &self.held_rows[self.held_pos];
+                self.held_pos += 1;
+                let combined = if self.hold_left {
+                    concat(h, s)
+                } else {
+                    concat(s, h)
+                };
                 match &self.predicate {
                     Some(p) if !p.matches(&combined, &mut self.regs)? => continue,
                     _ => return Ok(Some(combined)),
                 }
             }
-            self.current_left = None;
+            self.current = None;
         }
     }
 }
@@ -649,9 +721,7 @@ impl Operator for HashJoin {
                             continue;
                         }
                         debug_assert_eq!(r.len(), self.right_width);
-                        let mut combined = Vec::with_capacity(l.len() + r.len());
-                        combined.extend(l.iter().cloned());
-                        combined.extend(r.iter().cloned());
+                        let combined = concat(l, r);
                         match &self.residual {
                             Some(p) if !p.matches(&combined, &mut self.regs)? => continue,
                             _ => return Ok(Some(combined)),

@@ -2,7 +2,14 @@
 //! Figure 2 fixtures executed naively (which must return the "incorrect"
 //! empty answer — the motivation for mediation).
 
-use coin_rel::{execute_sql, Catalog, ColumnType, Schema, Table, Value};
+use std::sync::Arc;
+
+use coin_rel::exec::CANCEL_CHECK_INTERVAL;
+use coin_rel::{
+    build_select_pipeline, execute_sql, BoxOp, CancelToken, Catalog, ColumnType, ExecError, Feeds,
+    Schema, Table, Value,
+};
+use coin_sql::Query;
 
 /// The Figure 2 fixtures: r1 (mixed currencies), r2 (USD), r3 (rates).
 fn figure2_catalog() -> Catalog {
@@ -339,4 +346,84 @@ fn order_by_select_alias() {
 fn order_by_unknown_name_is_error() {
     let cat = figure2_catalog();
     assert!(execute_sql("SELECT cname FROM r2 ORDER BY nonexistent", &cat).is_err());
+}
+
+/// A one-row rate lookup and a `rows`-row table `a`, the shape of a mediated
+/// scan: `FROM rates, a` with no equi-join between them.
+fn rates_and_a(rows: i64) -> (Arc<Table>, Arc<Table>) {
+    let rates = Table::from_rows(
+        "rates",
+        Schema::of(&[("rate", ColumnType::Float)]),
+        vec![vec![Value::Float(0.5)]],
+    );
+    let a = Table::from_rows(
+        "a",
+        Schema::of(&[("cname", ColumnType::Str), ("amount", ColumnType::Int)]),
+        (0..rows)
+            .map(|i| vec![Value::str(&format!("c{i}")), Value::Int(i)])
+            .collect(),
+    );
+    (Arc::new(rates), Arc::new(a))
+}
+
+fn catalog_of(tables: &[&Arc<Table>]) -> Catalog {
+    let mut catalog = Catalog::new();
+    for t in tables {
+        catalog.add_shared(Arc::clone(t));
+    }
+    catalog
+}
+
+fn pipeline(sql: &str, catalog: &Catalog, cancel: Option<CancelToken>) -> BoxOp {
+    let Query::Select(s) = coin_sql::parse_query(sql).unwrap() else {
+        panic!("not a SELECT: {sql}");
+    };
+    build_select_pipeline(&s, catalog, Feeds::new(), cancel)
+        .unwrap()
+        .1
+}
+
+const CONVERT: &str = "SELECT a.cname, a.amount * rates.rate FROM rates, a";
+
+#[test]
+fn first_row_leaves_before_the_big_input_is_drained() {
+    let (rates, a) = rates_and_a(100_000);
+    let mut op = pipeline(CONVERT, &catalog_of(&[&rates, &a]), None);
+    let first = op.next().unwrap().unwrap();
+    assert_eq!(first, vec![Value::str("c0"), Value::Float(0.0)]);
+    // The nested loop held the one-row side: it drained `rates` and dropped
+    // that scan, while the scan of `a` is still open after one row (a held
+    // `a` would have been drained, its scan dropped and every row copied).
+    assert_eq!(Arc::strong_count(&rates), 1);
+    assert_eq!(Arc::strong_count(&a), 2);
+    let mut rows = 1;
+    while op.next().unwrap().is_some() {
+        rows += 1;
+    }
+    assert_eq!(rows, 100_000);
+    assert_eq!(a.rows.len(), 100_000, "a shared table is cloned, not moved");
+}
+
+#[test]
+fn cancel_after_the_first_row_stops_within_one_check_interval() {
+    let (rates, a) = rates_and_a(100_000);
+    let catalog = catalog_of(&[&rates, &a]);
+    // The streamed side of the nested loop, and a pruned scan.
+    for (sql, width) in [(CONVERT, 2), ("SELECT amount, cname, amount FROM a", 3)] {
+        let token = CancelToken::new();
+        let mut op = pipeline(sql, &catalog, Some(token.clone()));
+        assert_eq!(op.schema().len(), width);
+        assert!(op.next().unwrap().is_some());
+        token.cancel();
+        let mut after = 0;
+        let err = loop {
+            match op.next() {
+                Ok(Some(_)) => after += 1,
+                Ok(None) => panic!("{sql}: drained {after} rows after the cancel"),
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(err, ExecError::Cancelled), "{sql}: {err}");
+        assert!(after <= CANCEL_CHECK_INTERVAL as usize, "{sql}: {after}");
+    }
 }

@@ -4,14 +4,20 @@
 //! (nested loop, string-keyed hash join, BTreeMap aggregation, pure
 //! external-sort distinct), and the results must be identical multisets —
 //! in fact identical sequences wherever both sides define an output order.
+//! The row-ownership choices of the pipeline are held to the same standard:
+//! a nested loop holding either side, a pruned scan against scan + project,
+//! and a scan that moves its rows against one that clones them.
+
+use std::sync::Arc;
 
 use coin_rel::exec::{
-    drain, AggFn, AggSpec, Aggregate, Distinct, HashJoin, NestedLoopJoin, ValuesScan,
+    drain, AggFn, AggSpec, Aggregate, Distinct, HashJoin, NestedLoopJoin, Project, TableScan,
+    ValuesScan,
 };
 use coin_rel::expr::CExpr;
 use coin_rel::reference::{BTreeAggregate, StringKeyHashJoin};
 use coin_rel::tempstore::cmp_rows;
-use coin_rel::{ColumnType, Row, Schema, Value};
+use coin_rel::{execute_sql, Catalog, ColumnType, Row, Schema, Table, Value};
 use coin_sql::BinOp;
 use proptest::prelude::*;
 
@@ -45,6 +51,31 @@ fn arb_agg_rows(max: usize) -> impl Strategy<Value = Vec<Row>> {
 fn scan(rows: Vec<Row>) -> coin_rel::BoxOp {
     let schema = Schema::of(&[("a", ColumnType::Any), ("b", ColumnType::Any)]);
     Box::new(ValuesScan::new(schema, rows))
+}
+
+fn table(rows: Vec<Row>) -> Arc<Table> {
+    let schema = Schema::of(&[("a", ColumnType::Any), ("b", ColumnType::Any)]);
+    Arc::new(Table::from_rows("t", schema, rows))
+}
+
+fn table_scan(t: &Arc<Table>) -> coin_rel::BoxOp {
+    Box::new(TableScan::new(Arc::clone(t), t.schema.clone()))
+}
+
+fn pruned_schema(columns: &[usize]) -> Schema {
+    let names: Vec<String> = (0..columns.len()).map(|i| format!("c{i}")).collect();
+    let cols: Vec<(&str, ColumnType)> = names
+        .iter()
+        .map(|n| (n.as_str(), ColumnType::Any))
+        .collect();
+    Schema::of(&cols)
+}
+
+/// Rows in a canonical order that tells apart values the row order ties
+/// (`Int(2)` and `Float(2.0)`): equal results compare equal as sequences.
+fn multiset(mut rows: Vec<Row>) -> Vec<Row> {
+    rows.sort_by_cached_key(|r| format!("{r:?}"));
+    rows
 }
 
 fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
@@ -109,6 +140,60 @@ proptest! {
         let nl = NestedLoopJoin::new(scan(l), scan(r), Some(pred));
         let nested = sorted(drain(Box::new(nl)).unwrap());
         prop_assert_eq!(&new, &nested);
+    }
+
+    /// A nested loop holding its left input == one holding its right input
+    /// == hash join, as multisets, with and without a residual.
+    #[test]
+    fn nested_loop_holding_either_side_equals_hash_join(
+        l in arb_rows(2, 14), r in arb_rows(2, 14)
+    ) {
+        let eq = || Some(CExpr::Cmp(Box::new(CExpr::Col(0)), BinOp::Eq, Box::new(CExpr::Col(2))));
+        let hj = HashJoin::new(scan(l.clone()), scan(r.clone()), vec![0], vec![0], None);
+        let hashed = multiset(drain(Box::new(hj)).unwrap());
+        let right = NestedLoopJoin::new(scan(l.clone()), scan(r.clone()), eq());
+        let left = NestedLoopJoin::new(scan(l.clone()), scan(r.clone()), eq()).holding_left();
+        prop_assert_eq!(&multiset(drain(Box::new(right)).unwrap()), &hashed);
+        prop_assert_eq!(&multiset(drain(Box::new(left)).unwrap()), &hashed);
+
+        // A cross product keeps its row count and `left ++ right` columns.
+        let right = drain(Box::new(NestedLoopJoin::new(scan(l.clone()), scan(r.clone()), None)));
+        let left = NestedLoopJoin::new(scan(l.clone()), scan(r.clone()), None).holding_left();
+        let (right, left) = (multiset(right.unwrap()), multiset(drain(Box::new(left)).unwrap()));
+        prop_assert_eq!(right.len(), l.len() * r.len());
+        prop_assert_eq!(right, left);
+    }
+
+    /// A pruned scan == a full scan under a projection of the same columns,
+    /// row for row, including reordered and repeated columns.
+    #[test]
+    fn pruned_scan_equals_scan_and_project(
+        rows in arb_rows(2, 20), columns in prop::collection::vec(0usize..2, 1..5)
+    ) {
+        let t = table(rows);
+        let schema = pruned_schema(&columns);
+        let exprs = columns.iter().map(|&i| CExpr::Col(i)).collect();
+        let projected = Project::new(table_scan(&t), exprs, schema.clone());
+        let expected = drain(Box::new(projected)).unwrap();
+        let pruned = TableScan::pruned(Arc::clone(&t), columns.clone(), schema.clone());
+        prop_assert_eq!(&drain(Box::new(pruned)).unwrap(), &expected);
+        // The same over rows the scan moves out of a table nobody else holds.
+        let sole = Arc::new(Table::clone(&t));
+        prop_assert_eq!(&drain(Box::new(TableScan::pruned(sole, columns, schema))).unwrap(), &expected);
+    }
+
+    /// A scan that moves its rows out == one that clones them. While a
+    /// second handle exists the scan clones, the table is left intact, and
+    /// a second scan still sees every row.
+    #[test]
+    fn moved_scan_equals_cloned_scan(rows in arb_rows(2, 20)) {
+        let shared = table(rows.clone());
+        let cloned = drain(table_scan(&shared)).unwrap();
+        prop_assert_eq!(&cloned, &rows);
+        prop_assert_eq!(&shared.rows, &rows);
+        prop_assert_eq!(&drain(table_scan(&shared)).unwrap(), &rows);
+        let moved = drain(table_scan(&table(rows.clone()))).unwrap();
+        prop_assert_eq!(moved, cloned);
     }
 
     /// Two-column keys and a residual predicate.
@@ -294,4 +379,31 @@ fn spill_fallback_does_not_respill_the_dedup_set() {
     // Same answer as the pure hash path.
     let (want, _) = run_distinct(rows_with_distinct(n, distinct), usize::MAX);
     assert_eq!(out, want);
+}
+
+/// `SELECT b, a, a` runs as a pruned scan and answers what the same
+/// projection over a filtered (so unpruned) scan answers.
+#[test]
+fn engine_pruned_projection_reorders_and_repeats() {
+    let rows: Vec<Row> = (0..5)
+        .map(|i| vec![Value::Int(i), Value::str(&format!("s{i}"))])
+        .collect();
+    let catalog = Catalog::new().with_table(Table::from_rows(
+        "t",
+        Schema::of(&[("a", ColumnType::Int), ("b", ColumnType::Str)]),
+        rows.clone(),
+    ));
+    let pruned = execute_sql("SELECT b, a, a AS c FROM t", &catalog).unwrap();
+    let filtered = execute_sql("SELECT b, a, a AS c FROM t WHERE a >= 0", &catalog).unwrap();
+    let expected: Vec<Row> = (rows.iter())
+        .map(|r| vec![r[1].clone(), r[0].clone(), r[0].clone()])
+        .collect();
+    assert_eq!(pruned.rows, expected);
+    assert_eq!(filtered.rows, expected);
+    assert_eq!(pruned.schema, filtered.schema);
+    assert_eq!(
+        catalog.get("t").unwrap().rows,
+        rows,
+        "the catalog's table is intact"
+    );
 }

@@ -331,10 +331,10 @@ impl QueryStream {
             RowSource::Mediated(rows) => {
                 self.buf
                     .key("mediated_sql")
-                    .str_val(&rows.mediated().query.to_string());
+                    .str_val(rows.mediated().sql_text());
                 self.buf
                     .key("explanation")
-                    .str_val(&rows.mediated().explain());
+                    .str_val(rows.mediated().explanation());
                 self.buf
                     .key("remote_queries")
                     .num(rows.stats().remote_queries as f64);
@@ -557,9 +557,9 @@ fn query_response(system: &CoinSystem, body: &str) -> Result<HttpResponse, Strin
                 let mut out = JsonBuf::with_capacity(estimated_table_bytes(&answer.table));
                 out.begin_obj();
                 write_table(&answer.table, &mut out);
-                out.key("mediated_sql")
-                    .str_val(&answer.mediated.query.to_string());
-                out.key("explanation").str_val(&answer.mediated.explain());
+                out.key("mediated_sql").str_val(answer.mediated.sql_text());
+                out.key("explanation")
+                    .str_val(answer.mediated.explanation());
                 out.key("remote_queries")
                     .num(answer.stats.remote_queries as f64);
                 out.key("cache").str_val(answer.cache.as_str());

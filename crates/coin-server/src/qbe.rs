@@ -153,7 +153,7 @@ pub fn handle_submission(system: &CoinSystem, body: &str) -> HttpResponse {
                 "<p>receiver query: <code>{}</code></p>\n\
                  <p>mediated query: <code>{}</code></p>\n<table border=\"1\">\n<tr>",
                 html_escape(&sql),
-                html_escape(&answer.mediated.query.to_string())
+                html_escape(answer.mediated.sql_text())
             ));
             for c in &answer.table.schema.columns {
                 out.push_str(&format!("<th>{}</th>", html_escape(&c.name)));
