@@ -14,7 +14,7 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
-use coin_rel::exec::{hash_row_key, hash_values, KeyIndex};
+use coin_rel::exec::{hash_row_key, hash_values, ChainIndex};
 use coin_rel::{BoxOp, CancelToken, Catalog, Row, Schema, Table, Value};
 use coin_sql::{BinOp, ColumnRef, Expr, Select};
 
@@ -244,7 +244,7 @@ struct Wave<'p> {
     /// One representative per [`FetchStep::same_remote`] class.
     shapes: Vec<&'p FetchStep>,
     /// Hash of (shape, parameter values) → jobs.
-    index: KeyIndex,
+    index: ChainIndex,
     jobs: Vec<Job<'p>>,
     /// (branch, step, its jobs in combination order).
     requests: Vec<(usize, &'p FetchStep, Vec<usize>)>,
@@ -271,22 +271,19 @@ impl<'p> Wave<'p> {
         let mut mine = Vec::with_capacity(combos.len());
         for combo in combos {
             let key = hash_values(&combo) ^ (shape as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let bucket = self.index.entry(key).or_default();
             let jobs = &mut self.jobs;
-            let j = (bucket.iter().map(|&j| j as usize))
-                .find(|&j| jobs[j].shape == shape && jobs[j].combo == combo)
-                .unwrap_or_else(|| {
-                    bucket.push(jobs.len() as u32);
-                    jobs.push(Job {
-                        from,
-                        shape,
-                        select: bound_select(step, &combo),
-                        combo,
-                        binding: step.binding(),
-                        users: 0,
-                    });
-                    jobs.len() - 1
+            let same = |j: usize| jobs[j].shape == shape && jobs[j].combo == combo;
+            let j = self.index.find_or_add(key, same).unwrap_or_else(|| {
+                jobs.push(Job {
+                    from,
+                    shape,
+                    select: bound_select(step, &combo),
+                    combo,
+                    binding: step.binding(),
+                    users: 0,
                 });
+                jobs.len() - 1
+            });
             jobs[j].users += 1;
             mine.push(j);
         }
@@ -508,18 +505,17 @@ fn parameter_combos(
             })
             .collect::<Result<_, _>>()?;
         let mut values: Vec<Vec<Value>> = Vec::new();
-        let mut seen = KeyIndex::default();
+        let mut seen = ChainIndex::default();
         for row in &table.rows {
             let tuple = col_positions.iter().map(|&c| &row[c]);
             if tuple.clone().any(Value::is_null) {
                 continue; // NULL parameters can never produce matches
             }
-            let bucket = seen.entry(hash_row_key(row, &col_positions)).or_default();
-            if !bucket
-                .iter()
-                .any(|&v| tuple.clone().eq(&values[v as usize]))
+            let same = |v: usize| tuple.clone().eq(&values[v]);
+            if seen
+                .find_or_add(hash_row_key(row, &col_positions), same)
+                .is_none()
             {
-                bucket.push(values.len() as u32);
                 values.push(tuple.cloned().collect());
             }
         }

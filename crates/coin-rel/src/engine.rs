@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use coin_sql::normalize::SchemaLookup;
-use coin_sql::{BinOp, ColumnRef, Expr, OrderItem, Query, Select, SelectItem};
+use coin_sql::{BinOp, ColumnRef, Expr, OrderItem, Query, Select, SelectItem, TableRef};
 
 use crate::exec::{
     drain, AggFn, AggSpec, Aggregate, BoxOp, CancelGuard, CancelToken, Distinct, Filter, HashJoin,
@@ -19,7 +19,7 @@ use crate::exec::{
 };
 use crate::expr::{compile, CExpr, CompileError};
 use crate::prog::{fold, lower, ExprCache};
-use crate::schema::{Column, ColumnType, Schema, Table};
+use crate::schema::{answers_to, Column, ColumnType, Schema, Table};
 
 /// A named collection of tables (one source's database).
 ///
@@ -204,40 +204,125 @@ pub fn build_query_pipeline_cached(
     }
 }
 
-/// Classification of one WHERE conjunct relative to the join state.
-fn qualifiers_of(e: &Expr) -> Vec<String> {
-    let mut cols = Vec::new();
-    e.columns(&mut cols);
-    let mut quals: Vec<String> = cols.iter().filter_map(|c| c.qualifier.clone()).collect();
-    quals.sort();
-    quals.dedup();
-    quals
+/// Where a WHERE conjunct runs, decided once per pipeline build from the
+/// FROM positions of the tables it reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Place {
+    /// On the scan of FROM table `t`, the only table it reads.
+    Scan(usize),
+    /// In the join that brings in FROM table `t`: the first join where
+    /// every table it reads is bound.
+    Join(usize),
+    /// After the joins: it reads no table.
+    After,
 }
 
-/// Extract `a.x = b.y` equi-join pairs usable between `left` and `right`
-/// binding sets; returns (left column, right column) refs.
-fn equi_pairs<'a>(
-    conjuncts: &[&'a Expr],
-    left: &[String],
-    right: &str,
-) -> Vec<(&'a ColumnRef, &'a ColumnRef, usize)> {
-    let mut out = Vec::new();
-    for (i, e) in conjuncts.iter().enumerate() {
-        if let Expr::Bin(l, BinOp::Eq, r) = e {
-            if let (Expr::Column(cl), Expr::Column(cr)) = (l.as_ref(), r.as_ref()) {
-                let (ql, qr) = (cl.qualifier.as_deref(), cr.qualifier.as_deref());
-                let (Some(ql), Some(qr)) = (ql, qr) else {
-                    continue;
-                };
-                if left.iter().any(|b| b == ql) && qr == right {
-                    out.push((cl, cr, i));
-                } else if left.iter().any(|b| b == qr) && ql == right {
-                    out.push((cr, cl, i));
+fn place<'s>(e: &'s Expr, from: &[TableRef], cols: &mut Vec<&'s ColumnRef>) -> Place {
+    cols.clear();
+    e.columns(cols);
+    let mut tables: Option<(usize, usize)> = None;
+    for q in cols.iter().filter_map(|c| c.qualifier.as_deref()) {
+        let Some(t) = from.iter().position(|f| f.binding() == q) else {
+            // Not a table of this block: left for the final filter, which
+            // reports it.
+            return Place::After;
+        };
+        tables = Some(tables.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))));
+    }
+    match tables {
+        None => Place::After,
+        Some((lo, hi)) if lo == hi => Place::Scan(hi),
+        Some((_, hi)) => Place::Join(hi),
+    }
+}
+
+/// The columns of an `x.a = y.b` conjunct placed in the join that brings
+/// in `binding`, the left input's column first; `None` for any other
+/// conjunct.
+fn equi_pair<'s>(e: &'s Expr, binding: &str) -> Option<(&'s ColumnRef, &'s ColumnRef)> {
+    let Expr::Bin(l, BinOp::Eq, r) = e else {
+        return None;
+    };
+    let (Expr::Column(cl), Expr::Column(cr)) = (l.as_ref(), r.as_ref()) else {
+        return None;
+    };
+    match (cl.qualifier.as_deref()?, cr.qualifier.as_deref()?) {
+        (ql, qr) if ql != binding && qr == binding => Some((cl, cr)),
+        (ql, qr) if ql == binding && qr != binding => Some((cr, cl)),
+        _ => None,
+    }
+}
+
+/// For every column of every FROM table, numbered across the tables in FROM
+/// order (`offsets[t]` is table `t`'s first), the last step that reads it:
+/// step `t` is table `t`'s scan and the join that brings it in, step
+/// `inputs.len()` everything after the joins. A column nothing reads gets 0.
+///
+/// A join at step `t` keeps exactly the columns whose last read is after
+/// `t`. A bare reference (only an `ORDER BY` alias is left bare by
+/// normalization) keeps every column it could name, so it resolves against
+/// the narrowed rows exactly as it would against full-width ones.
+fn last_reads<'s>(
+    s: &'s Select,
+    conjuncts: &[&'s Expr],
+    places: &[Place],
+    inputs: &[(BoxOp, Option<usize>)],
+) -> (Vec<usize>, Vec<usize>) {
+    let after = inputs.len();
+    // Every column reference of every reader, and the step that reads it.
+    let mut cols: Vec<&ColumnRef> = Vec::new();
+    let mut steps: Vec<usize> = Vec::new();
+    for (c, p) in conjuncts.iter().zip(places) {
+        c.columns(&mut cols);
+        let step = match *p {
+            Place::Scan(t) | Place::Join(t) => t,
+            Place::After => after,
+        };
+        steps.resize(cols.len(), step);
+    }
+    for item in &s.items {
+        if let SelectItem::Expr { expr, .. } = item {
+            expr.columns(&mut cols);
+        }
+    }
+    let order = s.order_by.iter().map(|o| &o.expr);
+    for e in s.group_by.iter().chain(&s.having).chain(order) {
+        e.columns(&mut cols);
+    }
+    steps.resize(cols.len(), after);
+
+    let mut offsets = Vec::with_capacity(after);
+    let mut width = 0;
+    for (scan, _) in inputs {
+        offsets.push(width);
+        width += scan.schema().len();
+    }
+    let mut last = vec![0; width];
+    for (c, &step) in cols.iter().zip(&steps) {
+        let mut mark = |t: usize, j: usize| {
+            let at = &mut last[offsets[t] + j];
+            *at = (*at).max(step);
+        };
+        match c.qualifier.as_deref() {
+            Some(q) => {
+                let t = s.from.iter().position(|f| f.binding() == q);
+                let j = t.and_then(|t| inputs[t].0.schema().resolve(Some(q), &c.column));
+                if let (Some(t), Some(j)) = (t, j) {
+                    mark(t, j);
+                }
+            }
+            None => {
+                for (t, (scan, _)) in inputs.iter().enumerate() {
+                    for (j, col) in scan.schema().columns.iter().enumerate() {
+                        if answers_to(&col.name, &c.column) {
+                            mark(t, j);
+                        }
+                    }
                 }
             }
         }
     }
-    out
+    (offsets, last)
 }
 
 /// Execute one SELECT block.
@@ -296,9 +381,14 @@ fn apply_filter(op: BoxOp, pred: CExpr, cache: Option<&ExprCache>) -> BoxOp {
 }
 
 /// Build one SELECT block's pipeline: scans (with per-table filter
-/// pushdown), joins, residual predicates, aggregation or projection,
-/// ordering, distinct and limit — returned unconsumed, with a
-/// [`CancelGuard`] above every scan when a token is supplied.
+/// pushdown), joins, aggregation or projection, ordering, distinct and
+/// limit — returned unconsumed, with a [`CancelGuard`] above every scan
+/// when a token is supplied.
+///
+/// Each WHERE conjunct runs once, as early as it can: on the scan of the
+/// one table it reads, else in the first join where all of its tables are
+/// bound (as that join's keys or as its predicate over each pair), else
+/// after the joins. Each join emits only the columns some later step reads.
 pub fn build_select_pipeline(
     s: &Select,
     catalog: &Catalog,
@@ -341,13 +431,19 @@ pub fn build_select_pipeline_cached(
         }
     }
 
-    // ---- scans with per-table filter pushdown --------------------------
-    let conjuncts: Vec<Expr> = s
-        .where_clause
-        .as_ref()
-        .map(|w| w.conjuncts().into_iter().cloned().collect())
+    // ---- where each conjunct runs ----------------------------------------
+    let conjuncts: Vec<&Expr> = (s.where_clause.as_ref())
+        .map(Expr::conjuncts)
         .unwrap_or_default();
-    let mut used = vec![false; conjuncts.len()];
+    let mut cols = Vec::new();
+    let places: Vec<Place> = (conjuncts.iter())
+        .map(|c| place(c, &s.from, &mut cols))
+        .collect();
+    let placed = |at: Place| {
+        (conjuncts.iter().zip(&places))
+            .filter(move |(_, p)| **p == at)
+            .map(|(c, _)| *c)
+    };
     let needs_agg = !s.group_by.is_empty()
         || s.items.iter().any(|i| match i {
             SelectItem::Expr { expr, .. } => expr.has_aggregate(),
@@ -360,27 +456,24 @@ pub fn build_select_pipeline_cached(
     // Output schema of the pruned scan, when one was built.
     let mut pruned: Option<Schema> = None;
 
-    let mut op: Option<BoxOp> = None;
-    let mut bound: Vec<String> = Vec::new();
-    // Upper bound on the rows of `op`: the product of its tables' row
-    // counts, unknown once a feed is involved.
-    let mut op_rows: Option<usize> = Some(1);
-
-    for t in &s.from {
-        let binding = t.binding().to_owned();
+    // ---- scans with per-table filter pushdown --------------------------
+    // Each scan with the number of rows it yields, unknown for a feed.
+    let mut inputs: Vec<(BoxOp, Option<usize>)> = Vec::with_capacity(s.from.len());
+    for (t, tref) in s.from.iter().enumerate() {
+        let binding = tref.binding();
         let scan_rows;
-        let mut scan: BoxOp = if let Some(feed) = feeds.remove(&t.table) {
+        let mut scan: BoxOp = if let Some(feed) = feeds.remove(&tref.table) {
             scan_rows = None;
-            let schema = feed.schema().qualified(&binding);
+            let schema = feed.schema().qualified(binding);
             Box::new(Rebrand::new(feed, schema))
         } else {
             let table = materialized
-                .get(&t.table)
+                .get(&tref.table)
                 .cloned()
-                .or_else(|| catalog.get_shared(&t.table))
-                .ok_or_else(|| EngineError::UnknownTable(t.table.clone()))?;
+                .or_else(|| catalog.get_shared(&tref.table))
+                .ok_or_else(|| EngineError::UnknownTable(tref.table.clone()))?;
             scan_rows = Some(table.rows.len());
-            let schema = table.schema.qualified(&binding);
+            let schema = table.schema.qualified(binding);
             let columns = if prunable {
                 let (exprs, out) = project_items(&s.items, &schema)?;
                 bare_columns(&exprs).map(|columns| (columns, out))
@@ -402,105 +495,75 @@ pub fn build_select_pipeline_cached(
         if let Some(token) = &cancel {
             scan = Box::new(CancelGuard::new(scan, token.clone()));
         }
-
-        // Push single-table predicates down onto the scan.
-        let mut pushed = Vec::new();
-        for (i, c) in conjuncts.iter().enumerate() {
-            if used[i] {
-                continue;
-            }
-            let quals = qualifiers_of(c);
-            if !quals.is_empty() && quals.iter().all(|q| *q == binding) {
-                pushed.push(c.clone());
-                used[i] = true;
-            }
-        }
-        if let Some(pred) = Expr::conjoin(pushed) {
+        if let Some(pred) = Expr::conjoin(placed(Place::Scan(t)).cloned().collect()) {
             let compiled = compile(&pred, scan.schema())?;
             scan = apply_filter(scan, compiled, cache);
         }
-
-        op = Some(match op {
-            None => scan,
-            Some(acc) => {
-                // Find equi-join conjuncts between what's bound and the new
-                // table; use a hash join when any exist.
-                let available: Vec<&Expr> = conjuncts
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| !used[*i])
-                    .map(|(_, e)| e)
-                    .collect();
-                let avail_idx: Vec<usize> = conjuncts
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| !used[*i])
-                    .map(|(i, _)| i)
-                    .collect();
-                let pairs = equi_pairs(&available, &bound, &binding);
-                if !pairs.is_empty() {
-                    let mut lkeys = Vec::new();
-                    let mut rkeys = Vec::new();
-                    for (lc, rc, ci) in &pairs {
-                        let li = acc
-                            .schema()
-                            .resolve(lc.qualifier.as_deref(), &lc.column)
-                            .ok_or_else(|| EngineError::Unsupported(format!("join key {lc}")))?;
-                        let ri = scan
-                            .schema()
-                            .resolve(rc.qualifier.as_deref(), &rc.column)
-                            .ok_or_else(|| EngineError::Unsupported(format!("join key {rc}")))?;
-                        lkeys.push(li);
-                        rkeys.push(ri);
-                        used[avail_idx[*ci]] = true;
-                    }
-                    Box::new(HashJoin::compiled(acc, scan, lkeys, rkeys, None))
-                } else {
-                    // Predicates joining exactly these two sides run inside
-                    // the nested loop.
-                    let combined_schema = acc.schema().join(scan.schema());
-                    let mut inner = Vec::new();
-                    for (i, c) in conjuncts.iter().enumerate() {
-                        if used[i] {
-                            continue;
-                        }
-                        let quals = qualifiers_of(c);
-                        if !quals.is_empty()
-                            && quals
-                                .iter()
-                                .all(|q| *q == binding || bound.iter().any(|b| b == q))
-                        {
-                            inner.push(c.clone());
-                            used[i] = true;
-                        }
-                    }
-                    let pred = Expr::conjoin(inner)
-                        .map(|p| compile(&p, &combined_schema))
-                        .transpose()?;
-                    let join = NestedLoopJoin::compiled(acc, scan, pred.map(|p| lower(&p, cache)));
-                    // Hold whichever side is smaller, so the larger one
-                    // streams and the first row leaves early.
-                    match (op_rows, scan_rows) {
-                        (Some(l), Some(r)) if l < r => Box::new(join.holding_left()),
-                        _ => Box::new(join),
-                    }
-                }
-            }
-        });
-        op_rows = op_rows.zip(scan_rows).map(|(l, r)| l.saturating_mul(r));
-        bound.push(binding);
+        inputs.push((scan, scan_rows));
     }
 
-    let mut op = op.ok_or_else(|| EngineError::Unsupported("empty FROM".into()))?;
+    // ---- joins, each keeping only the columns read after it --------------
+    let (offsets, last) = if inputs.len() > 1 {
+        last_reads(&s, &conjuncts, &places, &inputs)
+    } else {
+        Default::default()
+    };
+    let mut inputs = inputs.into_iter();
+    let (mut op, mut op_rows) =
+        (inputs.next()).ok_or_else(|| EngineError::Unsupported("empty FROM".into()))?;
+    // The columns `op`'s rows carry, numbered as in `last`: at first the
+    // first table's (none to track in a single-table block).
+    let mut carried: Vec<usize> = offsets.get(1).map_or(Vec::new(), |&w| (0..w).collect());
+    for (t, (scan, scan_rows)) in (1..).zip(inputs) {
+        // Equi-join conjuncts between what's bound and the new table make
+        // a hash join; the rest placed here run on each pair in place.
+        let binding = s.from[t].binding();
+        let (mut lkeys, mut rkeys, mut residual) = (Vec::new(), Vec::new(), Vec::new());
+        for c in placed(Place::Join(t)) {
+            let Some((lc, rc)) = equi_pair(c, binding) else {
+                residual.push(c.clone());
+                continue;
+            };
+            let li = (op.schema().resolve(lc.qualifier.as_deref(), &lc.column))
+                .ok_or_else(|| EngineError::Unsupported(format!("join key {lc}")))?;
+            let ri = (scan.schema().resolve(rc.qualifier.as_deref(), &rc.column))
+                .ok_or_else(|| EngineError::Unsupported(format!("join key {rc}")))?;
+            lkeys.push(li);
+            rkeys.push(ri);
+        }
+        let pred = match Expr::conjoin(residual) {
+            Some(p) => Some(lower(
+                &compile(&p, &op.schema().join(scan.schema()))?,
+                cache,
+            )),
+            None => None,
+        };
+        let keep_left: Vec<usize> = (0..carried.len())
+            .filter(|&i| last[carried[i]] > t)
+            .collect();
+        let keep_right: Vec<usize> = (0..scan.schema().len())
+            .filter(|&j| last[offsets[t] + j] > t)
+            .collect();
+        carried = (keep_left.iter().map(|&i| carried[i]))
+            .chain(keep_right.iter().map(|&j| offsets[t] + j))
+            .collect();
+        op = if !lkeys.is_empty() {
+            let join = HashJoin::compiled(op, scan, lkeys, rkeys, pred);
+            Box::new(join.keeping(keep_left, keep_right))
+        } else {
+            let join = NestedLoopJoin::compiled(op, scan, pred).keeping(keep_left, keep_right);
+            // Hold whichever side is smaller, so the larger one streams and
+            // the first row leaves early.
+            match (op_rows, scan_rows) {
+                (Some(l), Some(r)) if l < r => Box::new(join.holding_left()),
+                _ => Box::new(join),
+            }
+        };
+        op_rows = op_rows.zip(scan_rows).map(|(l, r)| l.saturating_mul(r));
+    }
 
-    // ---- residual predicates -------------------------------------------
-    let leftovers: Vec<Expr> = conjuncts
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !used[*i])
-        .map(|(_, e)| e.clone())
-        .collect();
-    if let Some(pred) = Expr::conjoin(leftovers) {
+    // ---- predicates that read no table ---------------------------------
+    if let Some(pred) = Expr::conjoin(placed(Place::After).cloned().collect()) {
         let compiled = compile(&pred, op.schema())?;
         op = apply_filter(op, compiled, cache);
     }

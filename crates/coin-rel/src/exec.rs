@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use crate::expr::CExpr;
-use crate::prog::{lower, ExprCache, ExprProg};
+use crate::prog::{lower, ExprCache, ExprProg, Joined};
 use crate::schema::{Row, Schema, Table};
 use crate::tempstore::{cmp_rows, ExternalSorter, MergeStream, SortKey, TempStore};
 use crate::value::{Value, ValueError};
@@ -370,23 +370,62 @@ impl Operator for Project {
     }
 }
 
-/// A joined row `l ++ r`, built in one allocation of exact size.
-fn concat(l: &[Value], r: &[Value]) -> Row {
-    let mut row = Vec::with_capacity(l.len() + r.len());
-    row.extend_from_slice(l);
-    row.extend_from_slice(r);
-    row
+/// What a join emits of each matching pair: the listed columns of the left
+/// row, then the listed columns of the right row. A new join keeps every
+/// column (`left ++ right`); [`JoinOutput::keep`] narrows it to the columns
+/// something above the join still reads.
+struct JoinOutput {
+    left: Vec<usize>,
+    right: Vec<usize>,
+    schema: Schema,
 }
 
-/// Nested-loop join with an optional residual predicate (evaluated over the
-/// concatenated row).
+impl JoinOutput {
+    fn full(left: &Schema, right: &Schema) -> JoinOutput {
+        JoinOutput {
+            left: (0..left.len()).collect(),
+            right: (0..right.len()).collect(),
+            schema: left.join(right),
+        }
+    }
+
+    /// Keep only `left` of the left input's columns and `right` of the
+    /// right input's, each list in output order.
+    fn keep(&mut self, left: Vec<usize>, right: Vec<usize>) {
+        let (l, r) = self.schema.columns.split_at(self.left.len());
+        debug_assert_eq!(r.len(), self.right.len(), "narrowed once, from full width");
+        let columns = (left.iter().map(|&i| l[i].clone()))
+            .chain(right.iter().map(|&j| r[j].clone()))
+            .collect();
+        *self = JoinOutput {
+            left,
+            right,
+            schema: Schema::new(columns),
+        };
+    }
+
+    /// The output row of a matching pair, built in one allocation of exact
+    /// size.
+    fn row(&self, l: &[Value], r: &[Value]) -> Row {
+        let mut row = Vec::with_capacity(self.left.len() + self.right.len());
+        row.extend(self.left.iter().map(|&i| l[i].clone()));
+        row.extend(self.right.iter().map(|&j| r[j].clone()));
+        row
+    }
+}
+
+/// Nested-loop join with an optional predicate, evaluated over each pair of
+/// input rows in place (a [`Joined`] view, compiled against the left
+/// schema followed by the right one); only a pair that passes is built into
+/// an output row.
 ///
 /// One input is held in memory, loaded on the first pull; the other is
 /// streamed past it, so the first joined row leaves after one row of the
 /// streamed input. The right input is held unless
 /// [`NestedLoopJoin::holding_left`] chose the left one (the engine does when
-/// the left input is known to be the smaller). Output rows are always
-/// `left ++ right`; only their order depends on which side is held.
+/// the left input is known to be the smaller). Output rows are `left ++
+/// right`, or the columns [`NestedLoopJoin::keeping`] lists; only their
+/// order depends on which side is held.
 pub struct NestedLoopJoin {
     /// The input streamed past the held rows.
     streamed: BoxOp,
@@ -396,7 +435,7 @@ pub struct NestedLoopJoin {
     hold_left: bool,
     predicate: Option<Arc<ExprProg>>,
     regs: Vec<Value>,
-    schema: Schema,
+    out: JoinOutput,
     current: Option<Row>,
     held_pos: usize,
 }
@@ -407,9 +446,9 @@ impl NestedLoopJoin {
         NestedLoopJoin::compiled(left, right, predicate)
     }
 
-    /// Build from an already-lowered residual program (the plan-cache path).
+    /// Build from an already-lowered predicate program (the plan-cache path).
     pub fn compiled(left: BoxOp, right: BoxOp, predicate: Option<Arc<ExprProg>>) -> NestedLoopJoin {
-        let schema = left.schema().join(right.schema());
+        let out = JoinOutput::full(left.schema(), right.schema());
         NestedLoopJoin {
             streamed: left,
             held: Some(right),
@@ -417,7 +456,7 @@ impl NestedLoopJoin {
             hold_left: false,
             predicate,
             regs: Vec::new(),
-            schema,
+            out,
             current: None,
             held_pos: 0,
         }
@@ -432,11 +471,18 @@ impl NestedLoopJoin {
         }
         self
     }
+
+    /// Emit only `left` of the left input's columns followed by `right` of
+    /// the right input's (indices into each input's schema).
+    pub fn keeping(mut self, left: Vec<usize>, right: Vec<usize>) -> NestedLoopJoin {
+        self.out.keep(left, right);
+        self
+    }
 }
 
 impl Operator for NestedLoopJoin {
     fn schema(&self) -> &Schema {
-        &self.schema
+        &self.out.schema
     }
 
     fn next(&mut self) -> Result<Option<Row>, ExecError> {
@@ -455,14 +501,10 @@ impl Operator for NestedLoopJoin {
             while self.held_pos < self.held_rows.len() {
                 let h = &self.held_rows[self.held_pos];
                 self.held_pos += 1;
-                let combined = if self.hold_left {
-                    concat(h, s)
-                } else {
-                    concat(s, h)
-                };
+                let (l, r) = if self.hold_left { (h, s) } else { (s, h) };
                 match &self.predicate {
-                    Some(p) if !p.matches(&combined, &mut self.regs)? => continue,
-                    _ => return Ok(Some(combined)),
+                    Some(p) if !p.matches(&Joined(l, r), &mut self.regs)? => continue,
+                    _ => return Ok(Some(self.out.row(l, r))),
                 }
             }
             self.current = None;
@@ -560,10 +602,72 @@ impl Hasher for Prehashed {
     }
 }
 
-/// A `HashMap` keyed by a precomputed 64-bit key hash, mapping to bucket
-/// member indices. Shared shape of the join build table, the aggregation
-/// group index, and the distinct set.
-pub type KeyIndex = HashMap<u64, Vec<u32>, BuildHasherDefault<Prehashed>>;
+/// Marks the end of a chain in [`ChainIndex`].
+const CHAIN_END: u32 = u32::MAX;
+
+/// Members `0, 1, 2, …` of an arena bucketed by a precomputed 64-bit key
+/// hash ([`hash_row_key`]/[`hash_values`]): one chain head per distinct
+/// hash, and one `next` link per member in a single array. However many
+/// keys it holds, the index is two allocations, where a vector per key
+/// would be one per key. Shared by the join build table, the aggregation
+/// group index, the distinct set and the planner's fetch deduplication.
+///
+/// Chains say which members *may* share a key; callers confirm with their
+/// own equality, since a 64-bit hash can collide.
+#[derive(Default)]
+pub struct ChainIndex {
+    heads: HashMap<u64, u32, BuildHasherDefault<Prehashed>>,
+    next: Vec<u32>,
+}
+
+impl ChainIndex {
+    /// Index members `0..hashes.len()` whose key hashes are `hashes`. Chains
+    /// are linked back to front, so each lists its members in ascending
+    /// order: a join probe meets build rows in arrival order.
+    pub fn from_hashes(hashes: &[u64]) -> ChainIndex {
+        let mut index = ChainIndex {
+            heads: HashMap::with_capacity_and_hasher(hashes.len(), Default::default()),
+            next: vec![CHAIN_END; hashes.len()],
+        };
+        for (m, &h) in hashes.iter().enumerate().rev() {
+            index.next[m] = index.heads.insert(h, m as u32).unwrap_or(CHAIN_END);
+        }
+        index
+    }
+
+    /// The first member of `h`'s chain.
+    #[inline]
+    pub fn first(&self, h: u64) -> Option<usize> {
+        self.heads.get(&h).map(|&m| m as usize)
+    }
+
+    /// The member after `m` in its chain.
+    #[inline]
+    pub fn after(&self, m: usize) -> Option<usize> {
+        Some(self.next[m])
+            .filter(|&n| n != CHAIN_END)
+            .map(|n| n as usize)
+    }
+
+    /// The member of `h`'s chain for which `same` holds. When there is none,
+    /// the next member number (how many members were added before) joins
+    /// the head of the chain and `None` is returned: the caller appends
+    /// that member to its arena.
+    pub fn find_or_add(&mut self, h: u64, mut same: impl FnMut(usize) -> bool) -> Option<usize> {
+        let new = self.next.len() as u32;
+        let head = self.heads.entry(h).or_insert(CHAIN_END);
+        let mut m = *head;
+        while m != CHAIN_END {
+            if same(m as usize) {
+                return Some(m as usize);
+            }
+            m = self.next[m as usize];
+        }
+        self.next.push(*head);
+        *head = new;
+        None
+    }
+}
 
 /// Feed one value into a hasher with a type discriminant, widening numerics
 /// so `Int(2)` and `Float(2.0)` hash identically (they compare equal both
@@ -616,26 +720,27 @@ pub fn hash_values(vals: &[Value]) -> u64 {
 }
 
 /// Hash (equi-)join: `left.keyL = right.keyR` column pairs, with an optional
-/// residual predicate over the concatenated row. Builds a hash table over
-/// the right input, bucketed by [`hash_row_key`]; every probe candidate is
-/// confirmed with SQL equality on the key columns, so hash collisions can
-/// never manufacture a match.
+/// residual predicate evaluated over each key-matching pair in place (a
+/// [`Joined`] view, compiled against the left schema followed by the right
+/// one). Builds a [`ChainIndex`] over the right input, bucketed by
+/// [`hash_row_key`]; every probe candidate is confirmed with SQL equality on
+/// the key columns, so hash collisions can never manufacture a match. A
+/// left row meets its matches in the right input's arrival order. Output
+/// rows are `left ++ right`, or the columns [`HashJoin::keeping`] lists.
 pub struct HashJoin {
     left: BoxOp,
-    right_width: usize,
     build: Option<BoxOp>,
-    /// Build rows in arrival order; the table holds indices into it.
+    /// Build rows in arrival order; the index numbers them.
     build_rows: Vec<Row>,
-    table: KeyIndex,
-    built: bool,
+    table: ChainIndex,
     left_keys: Vec<usize>,
     right_keys: Vec<usize>,
     residual: Option<Arc<ExprProg>>,
     regs: Vec<Value>,
-    schema: Schema,
+    out: JoinOutput,
     current_left: Option<Row>,
-    current_hash: u64,
-    match_pos: usize,
+    /// The next build row to try against `current_left`.
+    candidate: Option<usize>,
 }
 
 impl HashJoin {
@@ -660,24 +765,44 @@ impl HashJoin {
     ) -> HashJoin {
         assert_eq!(left_keys.len(), right_keys.len());
         assert!(!left_keys.is_empty());
-        let schema = left.schema().join(right.schema());
-        let right_width = right.schema().len();
+        let out = JoinOutput::full(left.schema(), right.schema());
         HashJoin {
             left,
-            right_width,
             build: Some(right),
             build_rows: Vec::new(),
-            table: KeyIndex::default(),
-            built: false,
+            table: ChainIndex::default(),
             left_keys,
             right_keys,
             residual,
             regs: Vec::new(),
-            schema,
+            out,
             current_left: None,
-            current_hash: 0,
-            match_pos: 0,
+            candidate: None,
         }
+    }
+
+    /// Emit only `left` of the left input's columns followed by `right` of
+    /// the right input's (indices into each input's schema).
+    pub fn keeping(mut self, left: Vec<usize>, right: Vec<usize>) -> HashJoin {
+        self.out.keep(left, right);
+        self
+    }
+
+    /// Load the build side and index it. Rows with a NULL key never join
+    /// and are not kept.
+    fn build(&mut self, mut src: BoxOp) -> Result<(), ExecError> {
+        let mut hashes = Vec::new();
+        while let Some(row) = src.next()? {
+            if self.right_keys.iter().any(|&i| row[i].is_null()) {
+                continue;
+            }
+            hashes.push(hash_row_key(&row, &self.right_keys));
+            self.build_rows.push(row);
+        }
+        // A scan that moved its rows out still holds their old buffer.
+        drop(src);
+        self.table = ChainIndex::from_hashes(&hashes);
+        Ok(())
     }
 
     /// SQL `=` over the key columns of a probe/build row pair.
@@ -691,41 +816,24 @@ impl HashJoin {
 
 impl Operator for HashJoin {
     fn schema(&self) -> &Schema {
-        &self.schema
+        &self.out.schema
     }
 
     fn next(&mut self) -> Result<Option<Row>, ExecError> {
-        if !self.built {
-            let src = self.build.take().expect("build side present");
-            for row in drain(src)? {
-                // NULL keys never join.
-                if self.right_keys.iter().any(|&i| row[i].is_null()) {
-                    continue;
-                }
-                let k = hash_row_key(&row, &self.right_keys);
-                self.table
-                    .entry(k)
-                    .or_default()
-                    .push(self.build_rows.len() as u32);
-                self.build_rows.push(row);
-            }
-            self.built = true;
+        if let Some(src) = self.build.take() {
+            self.build(src)?;
         }
         loop {
             if let Some(l) = &self.current_left {
-                if let Some(bucket) = self.table.get(&self.current_hash) {
-                    while self.match_pos < bucket.len() {
-                        let r = &self.build_rows[bucket[self.match_pos] as usize];
-                        self.match_pos += 1;
-                        if !self.keys_equal(l, r) {
-                            continue;
-                        }
-                        debug_assert_eq!(r.len(), self.right_width);
-                        let combined = concat(l, r);
-                        match &self.residual {
-                            Some(p) if !p.matches(&combined, &mut self.regs)? => continue,
-                            _ => return Ok(Some(combined)),
-                        }
+                while let Some(m) = self.candidate {
+                    self.candidate = self.table.after(m);
+                    let r = &self.build_rows[m];
+                    if !self.keys_equal(l, r) {
+                        continue;
+                    }
+                    match &self.residual {
+                        Some(p) if !p.matches(&Joined(l, r), &mut self.regs)? => continue,
+                        _ => return Ok(Some(self.out.row(l, r))),
                     }
                 }
                 self.current_left = None;
@@ -733,11 +841,10 @@ impl Operator for HashJoin {
             match self.left.next()? {
                 None => return Ok(None),
                 Some(l) => {
-                    self.match_pos = 0;
-                    if l.is_empty() || self.left_keys.iter().any(|&i| l[i].is_null()) {
+                    if self.left_keys.iter().any(|&i| l[i].is_null()) {
                         continue;
                     }
-                    self.current_hash = hash_row_key(&l, &self.left_keys);
+                    self.candidate = self.table.first(hash_row_key(&l, &self.left_keys));
                     self.current_left = Some(l);
                 }
             }
@@ -870,14 +977,11 @@ impl Distinct {
 
         // Phase 1: hash dedup while the distinct set fits the threshold.
         let mut seen: Vec<Row> = Vec::new();
-        let mut table = KeyIndex::default();
+        let mut table = ChainIndex::default();
         while let Some(row) = src.next()? {
             let h = hash_row_key(&row, &all_cols);
-            let bucket = table.entry(h).or_default();
-            let dup = bucket
-                .iter()
-                .any(|&i| cmp_rows(&seen[i as usize], &row, &key) == std::cmp::Ordering::Equal);
-            if dup {
+            let same = |i| cmp_rows(&seen[i], &row, &key) == std::cmp::Ordering::Equal;
+            if table.find_or_add(h, same).is_some() {
                 continue;
             }
             if seen.len() >= self.spill_threshold {
@@ -903,7 +1007,6 @@ impl Distinct {
                 self.merge = Some(sorter.into_merge()?);
                 return Ok(());
             }
-            bucket.push(seen.len() as u32);
             seen.push(row);
         }
         // Everything fit: one in-memory sort of the distinct set keeps the
@@ -1308,27 +1411,25 @@ impl Operator for Aggregate {
             // (key, accumulators) in arrival order; `index` buckets arena
             // positions by key hash.
             let mut groups: Vec<(Vec<Value>, Vec<Acc>)> = Vec::new();
-            let mut index = KeyIndex::default();
+            let mut index = ChainIndex::default();
             let mut keybuf: Vec<Value> = Vec::with_capacity(self.group_progs.len());
             while let Some(row) = src.next()? {
                 // Column-only keys hash/compare straight off the row; the
                 // key values are only cloned when a new group is created.
                 let gi = if let Some(cols) = &self.group_cols {
                     let h = hash_row_key(&row, cols);
-                    let bucket = index.entry(h).or_default();
-                    match bucket.iter().copied().find(|&g| {
-                        let key = &groups[g as usize].0;
+                    let same = |g: usize| {
+                        let key = &groups[g].0;
                         key.iter().zip(cols).all(|(a, &c)| a.group_eq(&row[c]))
-                    }) {
-                        Some(g) => g as usize,
+                    };
+                    match index.find_or_add(h, same) {
+                        Some(g) => g,
                         None => {
-                            let gi = groups.len();
-                            bucket.push(gi as u32);
                             groups.push((
                                 cols.iter().map(|&c| row[c].clone()).collect(),
                                 self.aggs.iter().map(|a| Acc::new(a.f)).collect(),
                             ));
-                            gi
+                            groups.len() - 1
                         }
                     }
                 } else {
@@ -1337,16 +1438,14 @@ impl Operator for Aggregate {
                         keybuf.push(p.eval(&row, &mut self.regs)?);
                     }
                     let h = hash_values(&keybuf);
-                    let bucket = index.entry(h).or_default();
-                    match bucket.iter().copied().find(|&g| {
-                        let key = &groups[g as usize].0;
+                    let same = |g: usize| {
+                        let key = &groups[g].0;
                         key.len() == keybuf.len()
                             && key.iter().zip(&keybuf).all(|(a, b)| a.group_eq(b))
-                    }) {
-                        Some(g) => g as usize,
+                    };
+                    match index.find_or_add(h, same) {
+                        Some(g) => g,
                         None => {
-                            let gi = groups.len();
-                            bucket.push(gi as u32);
                             groups.push((
                                 std::mem::replace(
                                     &mut keybuf,
@@ -1354,7 +1453,7 @@ impl Operator for Aggregate {
                                 ),
                                 self.aggs.iter().map(|a| Acc::new(a.f)).collect(),
                             ));
-                            gi
+                            groups.len() - 1
                         }
                     }
                 };
@@ -1485,6 +1584,92 @@ mod tests {
         let r = vec![vec![Value::Float(2.0), Value::Int(0)]];
         let hj = HashJoin::new(scan(l), scan(r), vec![0], vec![0], None);
         assert_eq!(drain(Box::new(hj)).unwrap().len(), 1);
+    }
+
+    fn pairs(ps: &[(i64, i64)]) -> Vec<Row> {
+        ps.iter()
+            .map(|&(a, b)| vec![Value::Int(a), Value::Int(b)])
+            .collect()
+    }
+
+    #[test]
+    fn hash_join_emits_duplicate_build_keys_in_arrival_order() {
+        let l = pairs(&[(2, 0), (1, 0)]);
+        let r = pairs(&[(1, 10), (2, 20), (1, 11), (3, 30), (1, 12), (2, 21)]);
+        let hj = HashJoin::new(scan(l), scan(r), vec![0], vec![0], None).keeping(vec![0], vec![1]);
+        let out = drain(Box::new(hj)).unwrap();
+        assert_eq!(out, pairs(&[(2, 20), (2, 21), (1, 10), (1, 11), (1, 12)]));
+    }
+
+    #[test]
+    fn joins_can_keep_no_column() {
+        let l = pairs(&[(1, 0), (2, 0), (1, 5)]);
+        let r = pairs(&[(1, 1), (1, 2), (2, 3)]);
+        let hj = HashJoin::new(scan(l.clone()), scan(r.clone()), vec![0], vec![0], None)
+            .keeping(vec![], vec![]);
+        assert!(hj.schema().is_empty());
+        assert_eq!(drain(Box::new(hj)).unwrap(), vec![Vec::<Value>::new(); 5]);
+        let nl = NestedLoopJoin::new(scan(l), scan(r), None).keeping(vec![], vec![]);
+        assert!(nl.schema().is_empty());
+        assert_eq!(drain(Box::new(nl)).unwrap().len(), 9);
+    }
+
+    #[test]
+    fn join_predicates_read_both_inputs_in_place() {
+        // c1 (left) < c1 (right): column 3 of the pair read as one row.
+        let pred = || {
+            Some(CExpr::Cmp(
+                Box::new(CExpr::Col(1)),
+                BinOp::Lt,
+                Box::new(CExpr::Col(3)),
+            ))
+        };
+        let l = pairs(&[(1, 5), (2, 0), (1, 1)]);
+        let r = pairs(&[(1, 3), (2, 1), (1, 0)]);
+        let hj = HashJoin::new(scan(l.clone()), scan(r.clone()), vec![0], vec![0], pred())
+            .keeping(vec![1], vec![1, 0]);
+        let want = vec![
+            vec![Value::Int(0), Value::Int(1), Value::Int(2)],
+            vec![Value::Int(1), Value::Int(3), Value::Int(1)],
+        ];
+        assert_eq!(drain(Box::new(hj)).unwrap(), want);
+        for held_left in [false, true] {
+            let nl = NestedLoopJoin::new(scan(l.clone()), scan(r.clone()), pred());
+            let nl = if held_left { nl.holding_left() } else { nl };
+            let out = drain(Box::new(nl.keeping(vec![1], vec![1]))).unwrap();
+            assert_eq!(out.len(), 3, "held left: {held_left}");
+            assert!(out
+                .iter()
+                .all(|row| row[0].sql_cmp(&row[1]) == Some(std::cmp::Ordering::Less)));
+        }
+    }
+
+    #[test]
+    fn chain_index_lists_members_in_order() {
+        let index = ChainIndex::from_hashes(&[7, 9, 7, 7, 9]);
+        let chain = |h| {
+            let mut out = Vec::new();
+            let mut m = index.first(h);
+            while let Some(at) = m {
+                out.push(at);
+                m = index.after(at);
+            }
+            out
+        };
+        assert_eq!(chain(7), vec![0, 2, 3]);
+        assert_eq!(chain(9), vec![1, 4]);
+        assert_eq!(chain(8), Vec::<usize>::new());
+
+        let mut index = ChainIndex::default();
+        let keys = ["a", "b", "a", "c", "b"];
+        let mut arena: Vec<&str> = Vec::new();
+        for k in keys {
+            // Every key hashes alike: the chain itself must tell them apart.
+            if index.find_or_add(0, |m| arena[m] == k).is_none() {
+                arena.push(k);
+            }
+        }
+        assert_eq!(arena, vec!["a", "b", "c"]);
     }
 
     #[test]

@@ -250,7 +250,10 @@ impl ExprProg {
     /// [`CExpr::eval`](crate::expr::CExpr::eval): `Bool`/`Null`
     /// three-valued results for predicates, identical error behavior.
     /// `regs` is grown on first use and reused verbatim across calls.
-    pub fn eval(&self, row: &Row, regs: &mut Vec<Value>) -> Result<Value, ValueError> {
+    ///
+    /// The row is anything a column load can read from: one row, or a
+    /// [`Joined`] pair that a join's predicate reads in place.
+    pub fn eval<R: Columns>(&self, row: &R, regs: &mut Vec<Value>) -> Result<Value, ValueError> {
         if regs.len() < self.n_regs {
             regs.resize(self.n_regs, Value::Null);
         }
@@ -261,7 +264,7 @@ impl ExprProg {
                     regs[*dst as usize] = self.consts[*idx as usize].clone();
                 }
                 Op::Col { dst, idx } => {
-                    regs[*dst as usize] = row[*idx as usize].clone();
+                    regs[*dst as usize] = row.column(*idx as usize).clone();
                 }
                 Op::Arith { dst, a, op, b } => {
                     let v = regs[*a as usize].arith(*op, &regs[*b as usize])?;
@@ -478,8 +481,37 @@ impl ExprProg {
     }
 
     /// Evaluate as a filter predicate (SQL semantics: NULL fails).
-    pub fn matches(&self, row: &Row, regs: &mut Vec<Value>) -> Result<bool, ValueError> {
+    pub fn matches<R: Columns>(&self, row: &R, regs: &mut Vec<Value>) -> Result<bool, ValueError> {
         Ok(self.eval(row, regs)?.is_true())
+    }
+}
+
+/// Where a program's column loads read from.
+pub trait Columns {
+    /// The value of column `i`.
+    fn column(&self, i: usize) -> &Value;
+}
+
+impl Columns for Row {
+    #[inline]
+    fn column(&self, i: usize) -> &Value {
+        &self[i]
+    }
+}
+
+/// Two rows read as the one row `left ++ right`, without building it: what
+/// a join's predicate evaluates over, compiled against the concatenation of
+/// its two input schemas.
+#[derive(Debug, Clone, Copy)]
+pub struct Joined<'a>(pub &'a [Value], pub &'a [Value]);
+
+impl Columns for Joined<'_> {
+    #[inline]
+    fn column(&self, i: usize) -> &Value {
+        match self.0.get(i) {
+            Some(v) => v,
+            None => &self.1[i - self.0.len()],
+        }
     }
 }
 

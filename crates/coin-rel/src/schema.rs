@@ -90,18 +90,13 @@ impl Schema {
     /// whose name is `c` or ends in `.c`.
     pub fn resolve(&self, qualifier: Option<&str>, column: &str) -> Option<usize> {
         match qualifier {
-            Some(q) => {
-                let full = format!("{q}.{column}");
-                self.index_of(&full)
-            }
+            Some(q) => self.columns.iter().position(|c| {
+                c.name.strip_prefix(q).and_then(|r| r.strip_prefix('.')) == Some(column)
+            }),
             None => {
                 let mut found = None;
                 for (i, c) in self.columns.iter().enumerate() {
-                    let matches = c.name == column
-                        || c.name
-                            .rsplit_once('.')
-                            .is_some_and(|(_, last)| last == column);
-                    if matches {
+                    if answers_to(&c.name, column) {
                         if found.is_some() {
                             return None; // ambiguous
                         }
@@ -139,6 +134,15 @@ impl Schema {
     pub fn names(&self) -> Vec<&str> {
         self.columns.iter().map(|c| c.name.as_str()).collect()
     }
+}
+
+/// Whether a column named `name` answers to the bare reference `column`:
+/// its name is `column` or ends in `.column`.
+pub(crate) fn answers_to(name: &str, column: &str) -> bool {
+    name == column
+        || name
+            .rsplit_once('.')
+            .is_some_and(|(_, last)| last == column)
 }
 
 /// A row of values.

@@ -4,10 +4,10 @@
 
 use std::sync::Arc;
 
-use coin_rel::exec::CANCEL_CHECK_INTERVAL;
+use coin_rel::exec::{ValuesScan, CANCEL_CHECK_INTERVAL};
 use coin_rel::{
-    build_select_pipeline, execute_sql, BoxOp, CancelToken, Catalog, ColumnType, ExecError, Feeds,
-    Schema, Table, Value,
+    build_select_pipeline, drain, execute_sql, BoxOp, CancelToken, Catalog, ColumnType,
+    EngineError, ExecError, Feeds, Schema, Table, Value, ValueError,
 };
 use coin_sql::Query;
 
@@ -346,6 +346,120 @@ fn order_by_select_alias() {
 fn order_by_unknown_name_is_error() {
     let cat = figure2_catalog();
     assert!(execute_sql("SELECT cname FROM r2 ORDER BY nonexistent", &cat).is_err());
+}
+
+fn int_table(name: &str, columns: &[&str], rows: &[&[i64]]) -> Table {
+    let schema: Vec<(&str, ColumnType)> = columns.iter().map(|c| (*c, ColumnType::Int)).collect();
+    let rows = (rows.iter())
+        .map(|r| r.iter().map(|&i| Value::Int(i)).collect())
+        .collect();
+    Table::from_rows(name, Schema::of(&schema), rows)
+}
+
+#[test]
+fn join_that_keeps_no_column_still_counts_its_pairs() {
+    // Nothing above the join reads a column, so it emits empty rows.
+    let cat = Catalog::new()
+        .with_table(int_table("a", &["k"], &[&[1], &[1], &[2], &[3]]))
+        .with_table(int_table("b", &["k"], &[&[1], &[2], &[2], &[4]]));
+    let out = execute_sql("SELECT COUNT(*) FROM a, b WHERE a.k = b.k", &cat).unwrap();
+    assert_eq!(out.rows, vec![vec![Value::Int(4)]]);
+    let out = execute_sql("SELECT COUNT(*) FROM a, b WHERE a.k < b.k", &cat).unwrap();
+    assert_eq!(out.rows, vec![vec![Value::Int(8)]]);
+}
+
+#[test]
+fn order_by_across_a_join_resolves_as_over_full_rows() {
+    let cat = figure2_catalog();
+    // An alias sorts after projection.
+    let out = execute_sql(
+        "SELECT r1.cname, r1.revenue * 2 AS dbl FROM r1, r2 \
+         WHERE r1.cname = r2.cname ORDER BY dbl DESC",
+        &cat,
+    )
+    .unwrap();
+    assert_eq!(out.rows[0][0], Value::str("IBM"));
+    assert_eq!(out.rows[1][0], Value::str("NTT"));
+    // A source column nothing projects sorts before projection.
+    let out = execute_sql(
+        "SELECT r1.cname FROM r1, r2 WHERE r1.cname = r2.cname ORDER BY r2.expenses",
+        &cat,
+    )
+    .unwrap();
+    assert_eq!(
+        out.rows,
+        vec![vec![Value::str("NTT")], vec![Value::str("IBM")]]
+    );
+    // A bare name that one source column answers to sorts by that column,
+    // as it would over full-width rows, even though only the ORDER BY reads
+    // it: `x` is `a.x` here, not the alias of `b.y`.
+    let cat = Catalog::new()
+        .with_table(int_table("a", &["k", "x"], &[&[1, 20], &[2, 10]]))
+        .with_table(int_table("b", &["k", "y"], &[&[1, 1], &[2, 2]]));
+    let out = execute_sql(
+        "SELECT a.k, b.y AS x FROM a, b WHERE a.k = b.k ORDER BY x",
+        &cat,
+    )
+    .unwrap();
+    let want = vec![
+        vec![Value::Int(2), Value::Int(2)],
+        vec![Value::Int(1), Value::Int(1)],
+    ];
+    assert_eq!(out.rows, want);
+}
+
+#[test]
+fn self_join_over_a_fed_table() {
+    let schema = Schema::of(&[("x", ColumnType::Int), ("y", ColumnType::Int)]);
+    // The catalog entry only carries the fed table's schema.
+    let catalog = Catalog::new().with_table(Table::new("t", schema.clone()));
+    let rows = (1..=3).map(|i| vec![Value::Int(i), Value::Int(10 * i)]);
+    let mut feeds = Feeds::new();
+    let feed = ValuesScan::new(schema, rows.collect());
+    feeds.insert("t".into(), Box::new(feed) as BoxOp);
+    let Query::Select(s) =
+        coin_sql::parse_query("SELECT a.y, b.x FROM t a, t b WHERE a.x < b.x").unwrap()
+    else {
+        unreachable!()
+    };
+    let (schema, op) = build_select_pipeline(&s, &catalog, feeds, None).unwrap();
+    assert_eq!(schema.len(), 2);
+    let mut got = drain(op).unwrap();
+    got.sort_by_key(|r| format!("{r:?}"));
+    let want: Vec<Vec<Value>> = [(10, 2), (10, 3), (20, 3)]
+        .iter()
+        .map(|&(y, x)| vec![Value::Int(y), Value::Int(x)])
+        .collect();
+    assert_eq!(got, want);
+}
+
+#[test]
+fn join_predicate_runs_in_the_first_join_that_binds_its_tables() {
+    let cat = figure2_catalog();
+    // The division fails on every pair it sees. It reads r1 and r2, so it
+    // runs in the join that brings in r2 and fails there, although no r3
+    // row would have survived to a later step.
+    let divides = "r1.revenue / (r2.expenses - r2.expenses) > 0";
+    let sql = format!(
+        "SELECT r1.cname FROM r1, r2, r3 \
+         WHERE r1.cname = r2.cname AND {divides} AND r3.fromCur = 'none'"
+    );
+    match execute_sql(&sql, &cat) {
+        Err(EngineError::Exec(ExecError::Value(ValueError::DivisionByZero))) => {}
+        other => panic!("expected a division by zero, got {other:?}"),
+    }
+    // The same in a nested-loop join, with no equi-join conjunct.
+    let sql = format!(
+        "SELECT r1.cname FROM r1, r2, r3 \
+         WHERE r1.cname <> r2.cname AND {divides} AND r3.fromCur = 'none'"
+    );
+    assert!(execute_sql(&sql, &cat).is_err());
+    // A join that sees no pair evaluates nothing.
+    let sql = format!(
+        "SELECT r1.cname FROM r1, r2, r3 \
+         WHERE r1.cname = r2.cname AND {divides} AND r2.cname = 'none'"
+    );
+    assert!(execute_sql(&sql, &cat).unwrap().rows.is_empty());
 }
 
 /// A one-row rate lookup and a `rows`-row table `a`, the shape of a mediated

@@ -407,3 +407,368 @@ fn engine_pruned_projection_reorders_and_repeats() {
         "the catalog's table is intact"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Multi-table SELECTs against a full-width oracle
+// ---------------------------------------------------------------------------
+//
+// The engine places each conjunct on a scan or in the first join that binds
+// its tables, and each join keeps only the columns read after it. The
+// oracle does neither: it builds the cross product at full width, filters
+// it with the whole WHERE through the tree-walking evaluator, and hands the
+// survivors, as one table, to a single-table query for the projection or
+// aggregate.
+
+/// One conjunct over FROM positions `i`, `j`, `l`, with constant `c`.
+#[derive(Debug, Clone)]
+struct Conj {
+    kind: u8,
+    i: usize,
+    j: usize,
+    l: usize,
+    c: i64,
+}
+
+#[derive(Debug, Clone)]
+enum Shape {
+    Project {
+        /// (kind, i, j) per select item.
+        items: Vec<(u8, usize, usize)>,
+        /// Source columns (0 = `k`, 1 = `v`) to sort by, with DESC.
+        order: Vec<(u8, usize, bool)>,
+        /// Sort by this item's alias instead, with DESC.
+        alias_order: Option<(usize, bool)>,
+        distinct: bool,
+    },
+    Aggregate {
+        group: Option<usize>,
+        /// (kind, i) per aggregate.
+        aggs: Vec<(u8, usize)>,
+        having: bool,
+    },
+}
+
+#[derive(Debug, Clone)]
+struct JoinQuery {
+    /// Base table of each FROM position (repeats are self-joins).
+    tables: Vec<usize>,
+    conjuncts: Vec<Conj>,
+    shape: Shape,
+}
+
+/// Column `c` of FROM position `t`: `xt.c` to the engine, `xt_c` in the
+/// oracle's one flat table.
+fn col(t: usize, c: &str, flat: bool) -> String {
+    if flat {
+        format!("x{t}_{c}")
+    } else {
+        format!("x{t}.{c}")
+    }
+}
+
+impl Conj {
+    fn sql(&self, flat: bool) -> String {
+        let (i, j, l, c) = (self.i, self.j, self.l, self.c);
+        let at = |t, name| col(t, name, flat);
+        match self.kind {
+            0 => format!("{} = {}", at(i, "k"), at(j, "k")),
+            1 => format!("{} = {}", at(i, "v"), at(j, "k")),
+            2 => format!("{} < {}", at(i, "v"), at(j, "v")),
+            3 => format!("{} + {} > {c}", at(i, "v"), at(j, "k")),
+            4 => format!("{} <> {}", at(i, "s"), at(j, "s")),
+            5 => format!("({} > {c} OR {} IS NULL)", at(i, "v"), at(j, "k")),
+            6 => format!("{} >= {c}", at(i, "v")),
+            7 => format!("{} = 'a'", at(i, "s")),
+            8 => "1 = 1".into(),
+            9 => format!("{c} > -2"),
+            _ => format!("{} + {} < {} * 2", at(i, "v"), at(j, "v"), at(l, "k")),
+        }
+    }
+}
+
+fn item_sql((kind, i, j): (u8, usize, usize), flat: bool) -> String {
+    match kind {
+        0 => col(i, "k", flat),
+        1 => format!("{} * 2", col(i, "v", flat)),
+        2 => col(i, "s", flat),
+        _ => format!("{} + {}", col(i, "v", flat), col(j, "v", flat)),
+    }
+}
+
+fn agg_sql((kind, i): (u8, usize), flat: bool) -> String {
+    match kind {
+        0 => "COUNT(*)".into(),
+        1 => format!("SUM({})", col(i, "v", flat)),
+        2 => format!("MIN({})", col(i, "k", flat)),
+        3 => format!("MAX({})", col(i, "v", flat)),
+        4 => format!("COUNT({})", col(i, "s", flat)),
+        _ => format!("AVG({})", col(i, "v", flat)),
+    }
+}
+
+fn order_sql((c, t, desc): (u8, usize, bool), flat: bool) -> String {
+    let name = col(t, if c == 0 { "k" } else { "v" }, flat);
+    if desc {
+        format!("{name} DESC")
+    } else {
+        name
+    }
+}
+
+impl JoinQuery {
+    /// The query for the engine, or (`flat`) the oracle's query over `j`,
+    /// whose WHERE the oracle has already applied. `keyed` appends the
+    /// source sort keys to the oracle's select list.
+    fn sql(&self, flat: bool, keyed: bool) -> String {
+        let mut sql = String::from("SELECT ");
+        let mut tail = String::new();
+        match &self.shape {
+            Shape::Project {
+                items,
+                order,
+                alias_order,
+                distinct,
+            } => {
+                if *distinct {
+                    sql.push_str("DISTINCT ");
+                }
+                let mut list: Vec<String> = (items.iter().enumerate())
+                    .map(|(n, it)| format!("{} AS o{n}", item_sql(*it, flat)))
+                    .collect();
+                if keyed {
+                    list.extend(
+                        order
+                            .iter()
+                            .map(|&(c, t, _)| order_sql((c, t, false), flat)),
+                    );
+                }
+                sql.push_str(&list.join(", "));
+                if let Some((n, desc)) = alias_order {
+                    let dir = if *desc { " DESC" } else { "" };
+                    tail = format!(" ORDER BY o{}{dir}", n % items.len());
+                } else if !order.is_empty() {
+                    let keys: Vec<String> = order.iter().map(|o| order_sql(*o, flat)).collect();
+                    tail = format!(" ORDER BY {}", keys.join(", "));
+                }
+            }
+            Shape::Aggregate {
+                group,
+                aggs,
+                having,
+            } => {
+                let mut list: Vec<String> = group.iter().map(|&g| col(g, "k", flat)).collect();
+                list.extend(aggs.iter().map(|a| agg_sql(*a, flat)));
+                sql.push_str(&list.join(", "));
+                if let Some(g) = group {
+                    tail = format!(" GROUP BY {}", col(*g, "k", flat));
+                }
+                if *having {
+                    tail.push_str(" HAVING COUNT(*) > 1");
+                }
+            }
+        }
+        if flat {
+            sql.push_str(" FROM j");
+        } else {
+            let from: Vec<String> = (self.tables.iter().enumerate())
+                .map(|(t, b)| format!("t{b} x{t}"))
+                .collect();
+            sql.push_str(&format!(" FROM {}", from.join(", ")));
+            if !self.conjuncts.is_empty() {
+                let preds: Vec<String> = self.conjuncts.iter().map(|c| c.sql(false)).collect();
+                sql.push_str(&format!(" WHERE {}", preds.join(" AND ")));
+            }
+        }
+        sql + &tail
+    }
+}
+
+fn arb_base_row() -> impl Strategy<Value = Row> {
+    let k = prop_oneof![1 => Just(Value::Null), 5 => (-1i64..3).prop_map(Value::Int)];
+    let v = prop_oneof![
+        1 => Just(Value::Null),
+        4 => (-3i64..4).prop_map(Value::Int),
+        2 => (-2i32..2).prop_map(|i| Value::Float(f64::from(i) + 0.5)),
+    ];
+    let s = prop_oneof![Just(None), Just(Some("a")), Just(Some("b"))]
+        .prop_map(|s| s.map_or(Value::Null, Value::str));
+    (k, v, s).prop_map(|(k, v, s)| vec![k, v, s])
+}
+
+fn arb_join_query() -> impl Strategy<Value = JoinQuery> {
+    // Positions are drawn below 4 and folded onto the `n` FROM entries;
+    // kinds past the last one are more equi-joins on `k`.
+    let conj =
+        (0u8..14, 0usize..4, 0usize..4, 0usize..4, -2i64..3).prop_map(|(kind, i, j, l, c)| {
+            let kind = if kind > 10 { 0 } else { kind };
+            Conj { kind, i, j, l, c }
+        });
+    let project = (
+        prop::collection::vec((0u8..4, 0usize..4, 0usize..4), 1..4),
+        prop::collection::vec((0u8..2, 0usize..4, any::<bool>()), 0..3),
+        prop::option::of((0usize..3, any::<bool>())),
+        any::<bool>(),
+    )
+        .prop_map(|(items, order, alias_order, distinct)| Shape::Project {
+            items,
+            order,
+            alias_order,
+            distinct,
+        });
+    let aggregate = (
+        prop::option::of(0usize..4),
+        prop::collection::vec((0u8..6, 0usize..4), 1..4),
+        any::<bool>(),
+    )
+        .prop_map(|(group, aggs, having)| Shape::Aggregate {
+            group,
+            aggs,
+            having,
+        });
+    (
+        2usize..5,
+        prop::collection::vec(0usize..3, 4..=4),
+        prop::collection::vec(conj, 0..6),
+        prop_oneof![project, aggregate],
+    )
+        .prop_map(|(n, mut tables, mut conjuncts, mut shape)| {
+            tables.truncate(n);
+            for c in &mut conjuncts {
+                (c.i, c.j, c.l) = (c.i % n, c.j % n, c.l % n);
+            }
+            match &mut shape {
+                Shape::Project { items, order, .. } => {
+                    for (_, i, j) in items {
+                        (*i, *j) = (*i % n, *j % n);
+                    }
+                    for (_, t, _) in order {
+                        *t %= n;
+                    }
+                }
+                Shape::Aggregate { group, aggs, .. } => {
+                    if let Some(g) = group {
+                        *g %= n;
+                    }
+                    for (_, i) in aggs {
+                        *i %= n;
+                    }
+                }
+            }
+            JoinQuery {
+                tables,
+                conjuncts,
+                shape,
+            }
+        })
+}
+
+fn base_schema() -> Schema {
+    Schema::of(&[
+        ("k", ColumnType::Any),
+        ("v", ColumnType::Any),
+        ("s", ColumnType::Any),
+    ])
+}
+
+/// The oracle's table `j`: the cross product of the FROM tables at full
+/// width, filtered by the whole WHERE with the tree-walking evaluator.
+fn oracle_table(q: &JoinQuery, bases: &[Vec<Row>]) -> Table {
+    let mut names = Vec::new();
+    for t in 0..q.tables.len() {
+        for c in ["k", "v", "s"] {
+            names.push(col(t, c, true));
+        }
+    }
+    let cols: Vec<(&str, ColumnType)> = names
+        .iter()
+        .map(|n| (n.as_str(), ColumnType::Any))
+        .collect();
+    let schema = Schema::of(&cols);
+    let mut product: Vec<Row> = vec![Vec::new()];
+    for &b in &q.tables {
+        product = (product.iter())
+            .flat_map(|p| {
+                bases[b]
+                    .iter()
+                    .map(move |r| p.iter().chain(r).cloned().collect())
+            })
+            .collect();
+    }
+    if !q.conjuncts.is_empty() {
+        let preds: Vec<String> = q.conjuncts.iter().map(|c| c.sql(true)).collect();
+        let pred = coin_sql::parse_expr(&preds.join(" AND ")).unwrap();
+        let pred = coin_rel::compile(&pred, &schema).unwrap();
+        product.retain(|row| pred.matches(row).unwrap());
+    }
+    Table::from_rows("j", schema, product)
+}
+
+/// `got` has `want`'s rows in `want`'s order, except that rows whose sort
+/// keys tie may come in any order among themselves.
+fn same_up_to_ties(got: &[Row], want: &[Row], keys: &[Row]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.len(), want.len());
+    let width = keys.first().map_or(0, Vec::len);
+    let all: Vec<(usize, bool)> = (0..width).map(|i| (i, false)).collect();
+    let mut start = 0;
+    while start < want.len() {
+        let mut end = start + 1;
+        while end < want.len() && cmp_rows(&keys[start], &keys[end], &all).is_eq() {
+            end += 1;
+        }
+        prop_assert_eq!(
+            multiset(got[start..end].to_vec()),
+            multiset(want[start..end].to_vec()),
+            "rows {}..{}",
+            start,
+            end
+        );
+        start = end;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 256,
+        failure_persistence: None,
+        ..ProptestConfig::default()
+    })]
+
+    /// Joins that place conjuncts early and keep only live columns answer
+    /// what the full-width oracle answers: in its order where ORDER BY
+    /// decides it, as a multiset elsewhere.
+    #[test]
+    fn multi_table_select_equals_full_width_oracle(
+        q in arb_join_query(),
+        bases in prop::collection::vec(prop::collection::vec(arb_base_row(), 0..6), 3..=3),
+    ) {
+        let mut catalog = Catalog::new();
+        for (b, rows) in bases.iter().enumerate() {
+            catalog.add_table(Table::from_rows(&format!("t{b}"), base_schema(), rows.clone()));
+        }
+        let sql = q.sql(false, false);
+        let got = execute_sql(&sql, &catalog).unwrap().rows;
+
+        let flat = Catalog::new().with_table(oracle_table(&q, &bases));
+        let want = execute_sql(&q.sql(true, false), &flat).unwrap().rows;
+        match &q.shape {
+            Shape::Project { distinct: true, .. } => prop_assert_eq!(got, want, "{}", sql),
+            Shape::Project { items, alias_order: Some((n, _)), .. } => {
+                let at = n % items.len();
+                let keys: Vec<Row> = want.iter().map(|r| vec![r[at].clone()]).collect();
+                same_up_to_ties(&got, &want, &keys)?;
+            }
+            Shape::Project { items, order, .. } if !order.is_empty() => {
+                let keyed = execute_sql(&q.sql(true, true), &flat).unwrap().rows;
+                let (want, keys): (Vec<Row>, Vec<Row>) = (keyed.into_iter())
+                    .map(|mut r| {
+                        let keys = r.split_off(items.len());
+                        (r, keys)
+                    })
+                    .unzip();
+                same_up_to_ties(&got, &want, &keys)?;
+            }
+            _ => prop_assert_eq!(multiset(got), multiset(want), "{}", sql),
+        }
+    }
+}

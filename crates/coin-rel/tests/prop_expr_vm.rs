@@ -7,10 +7,11 @@
 //! overflow-widening arithmetic, short-circuit side conditions — over
 //! random rows and require the VM, the constant folder, and the compiled
 //! `LIKE` matcher to reproduce the tree's `Result` **exactly**, including
-//! which error wins and float bit patterns.
+//! which error wins and float bit patterns — also when the VM reads its row
+//! as a join's two input rows.
 
 use coin_rel::expr::{CExpr, ScalarFn};
-use coin_rel::prog::{fold, ExprProg, LikeProg};
+use coin_rel::prog::{fold, ExprProg, Joined, LikeProg};
 use coin_rel::value::sql_like;
 use coin_rel::{ArithOp, Row, Value, ValueError};
 use coin_sql::BinOp;
@@ -226,6 +227,21 @@ proptest! {
         let mut fresh = Vec::new();
         let clean = prog.eval(&r2, &mut fresh);
         assert_same(&clean, &second)?;
+    }
+
+    /// A program reading a row split in two — a join's pair of input rows,
+    /// at any split point — produces exactly what it produces over the
+    /// concatenated row, and what the tree walk does.
+    #[test]
+    fn split_input_equals_concatenated_row(
+        e in arb_expr(), row in arb_row(), split in 0..ROW_WIDTH + 1
+    ) {
+        let prog = ExprProg::compile(&e);
+        let mut regs = Vec::new();
+        let (left, right) = row.split_at(split);
+        let joined = prog.eval(&Joined(left, right), &mut regs);
+        assert_same(&prog.eval(&row, &mut regs), &joined)?;
+        assert_same(&e.eval(&row), &joined)?;
     }
 
     /// The constant folder is a pure semantic rewrite: the folded tree
