@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use coin_core::fixtures::figure2_system;
-use coin_server::{start_server_with, ReactorBackend, ServerConfig, ServerHandle, Transport};
+use coin_server::{start_server_with, ReactorBackend, ServerConfig, ServerHandle};
 
 #[path = "../../coin-server/tests/support/load.rs"]
 mod load;
@@ -71,7 +71,6 @@ fn start(case: &Case, clients: usize, idle_conns: usize) -> ServerHandle {
         ServerConfig {
             workers: clients,
             queue_depth: clients * 2,
-            transport: Transport::Reactor,
             reactor_backend: case.backend,
             reactor_shards: case.shards,
             // Room for the parked fleet, the hot clients, and slack —

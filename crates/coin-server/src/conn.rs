@@ -1,12 +1,9 @@
-//! Per-connection state for the reactor transport: an incremental
-//! HTTP/1.1 request parser over an owned byte buffer, plus the
+//! Per-connection state for the reactor: the server's one HTTP/1.1
+//! request parser, incremental over an owned byte buffer, plus the
 //! framing/keep-alive/timeout state machine the event loop drives.
 //!
-//! The blocking transport parses straight off the socket
-//! ([`crate::http`]'s `read_request`); the reactor cannot block, so here
-//! parsing is a pure function of the bytes received so far — called again
-//! whenever more bytes arrive — built on the same request-line/header
-//! helpers so both transports accept exactly the same dialect.
+//! The reactor cannot block, so parsing is a pure function of the bytes
+//! received so far — called again whenever more bytes arrive.
 
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -15,9 +12,23 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use crate::http::{
-    self, encode_response, HttpRequest, HttpResponse, RequestError, MAX_HEAD_BYTES, MAX_HEAD_LINE,
-};
+use crate::http::{encode_response, HttpRequest, HttpResponse};
+
+/// Cap on one request head line (request line or a single header).
+const MAX_HEAD_LINE: usize = 8 * 1024;
+/// Cap on the whole request head (request line + headers).
+const MAX_HEAD_BYTES: usize = 16 * 1024;
+
+/// Why a request could not be parsed. Each answer closes the connection.
+#[derive(Debug)]
+pub(crate) enum RequestError {
+    /// Framing violation: `400`.
+    Malformed(String),
+    /// Request line or headers larger than the caps: `431`.
+    HeadTooLarge(String),
+    /// Body larger than the configured cap: `413`.
+    TooLarge(String),
+}
 
 /// Outcome of one incremental parse attempt.
 pub(crate) enum ParseStatus {
@@ -31,9 +42,8 @@ pub(crate) enum ParseStatus {
 ///
 /// Pure and restartable: returns [`ParseStatus::Incomplete`] until the
 /// head terminator and the full `Content-Length` body have arrived, and
-/// enforces the same head-line/head-size/body-size caps as the blocking
-/// reader — a byte-dripping peer is bounded by the caps here and by the
-/// reactor's read deadline.
+/// enforces the head-line/head-size/body-size caps — a byte-dripping
+/// peer is bounded by the caps here and by the reactor's read deadline.
 pub(crate) fn try_parse_request(
     buf: &[u8],
     max_body_bytes: usize,
@@ -86,16 +96,16 @@ pub(crate) fn try_parse_request(
     if request_line.trim().is_empty() {
         return Err(RequestError::Malformed("blank request".into()));
     }
-    let (method, path, query, version) = http::parse_request_line(request_line)?;
+    let (method, path, query, version) = parse_request_line(request_line)?;
     let mut headers = BTreeMap::new();
     for line in lines {
         if line.is_empty() {
             break;
         }
-        http::insert_header_line(&mut headers, line);
+        insert_header_line(&mut headers, line);
     }
 
-    let body_len = http::content_length(&headers, max_body_bytes)?;
+    let body_len = content_length(&headers, max_body_bytes)?;
     let total = start + head_end + body_len;
     if buf.len() < total {
         return Ok(ParseStatus::Incomplete);
@@ -112,6 +122,75 @@ pub(crate) fn try_parse_request(
         }),
         total,
     ))
+}
+
+/// Parse a request line into (method, path, decoded query, version).
+fn parse_request_line(
+    request_line: &str,
+) -> Result<(String, String, BTreeMap<String, String>, String), RequestError> {
+    let mut parts = request_line.split_whitespace();
+    let method = parts
+        .next()
+        .ok_or_else(|| RequestError::Malformed("missing method".into()))?
+        .to_owned();
+    let target = parts
+        .next()
+        .ok_or_else(|| RequestError::Malformed("missing path".into()))?
+        .to_owned();
+    let version = match parts.next() {
+        None => "HTTP/1.0".to_owned(), // HTTP/0.9-style simple request
+        Some(v) if v.starts_with("HTTP/") => v.to_owned(),
+        Some(v) => {
+            return Err(RequestError::Malformed(format!("bad version {v:?}")));
+        }
+    };
+    let (path, query_str) = match target.split_once('?') {
+        Some((p, q)) => (p.to_owned(), Some(q.to_owned())),
+        None => (target, None),
+    };
+    let mut query = BTreeMap::new();
+    if let Some(q) = query_str {
+        for pair in q.split('&').filter(|p| !p.is_empty()) {
+            match pair.split_once('=') {
+                Some((k, v)) => {
+                    query.insert(
+                        coin_wrapper::web::url_decode(k),
+                        coin_wrapper::web::url_decode(v),
+                    );
+                }
+                None => {
+                    query.insert(coin_wrapper::web::url_decode(pair), String::new());
+                }
+            }
+        }
+    }
+    Ok((method, path, query, version))
+}
+
+/// Fold one `Name: value` line into the (lower-cased) header map.
+fn insert_header_line(headers: &mut BTreeMap<String, String>, line: &str) {
+    if let Some((k, v)) = line.split_once(':') {
+        headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_owned());
+    }
+}
+
+/// Decode and bound the `Content-Length` header.
+fn content_length(
+    headers: &BTreeMap<String, String>,
+    max_body_bytes: usize,
+) -> Result<usize, RequestError> {
+    let len: usize = match headers.get("content-length") {
+        None => 0,
+        Some(v) => v
+            .parse()
+            .map_err(|_| RequestError::Malformed(format!("bad content-length {v:?}")))?,
+    };
+    if len > max_body_bytes {
+        return Err(RequestError::TooLarge(format!(
+            "body of {len} bytes exceeds the {max_body_bytes}-byte limit"
+        )));
+    }
+    Ok(len)
 }
 
 /// Where a reactor connection is in its request/response cycle.

@@ -12,12 +12,10 @@
 //!   semantics; `Connection: close` and HTTP/1.0 are honored), serving
 //!   pipelined sequential requests until the peer closes, an idle timeout
 //!   elapses, or the per-connection request cap is reached.
-//! * **Two transports** ([`Transport`]): the default event-driven
-//!   *reactor* multiplexes every nonblocking connection on one
-//!   `poll(2)`-based readiness loop and hands only *complete* requests
-//!   to the worker pool, so idle or slow connections cost no thread; the
-//!   legacy *threaded* transport pins one worker per in-service
-//!   connection.
+//! * **Event-driven**: reactor shards multiplex every nonblocking
+//!   connection on a readiness loop (`epoll(7)` or `poll(2)`, see
+//!   [`ReactorBackend`]) and hand only *complete* requests to the worker
+//!   pool, so idle or slow connections cost no thread.
 //! * **Bounded backpressure**: admitted work enters a bounded queue under
 //!   a connection budget; overflow is shed immediately with `503 Service
 //!   Unavailable` + `Retry-After` instead of queueing unboundedly.
@@ -32,19 +30,10 @@
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// How often parked workers re-check the stop flag and idle budget.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-/// Longest back-off sleep of the idle accept loop.
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(2);
-/// Cap on one request head line (request line or a single header).
-pub(crate) const MAX_HEAD_LINE: usize = 8 * 1024;
-/// Cap on the whole request head (request line + headers).
-pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -230,30 +219,6 @@ impl From<std::io::Error> for HttpError {
 /// The request handler type.
 pub type Handler = Arc<dyn Fn(&HttpRequest) -> HttpResponse + Send + Sync>;
 
-/// How the server maps connections onto threads.
-///
-/// Either transport speaks the same HTTP/1.1 dialect (keep-alive,
-/// pipelining, the `400`/`408`/`413`/`431`/`503 + Retry-After` error
-/// contract) and feeds the same bounded worker pool — they differ only in
-/// who owns a connection *between* requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Transport {
-    /// One worker thread per in-service connection. A keep-alive client
-    /// pins its worker for the connection's whole lifetime, so the
-    /// concurrent client fleet is capped by [`ServerConfig::workers`].
-    Threaded,
-    /// Event-driven readiness loops own every connection and drive the
-    /// per-connection framing/keep-alive/timeout state machines; workers
-    /// only ever see *complete* requests. N idle or slow connections
-    /// cost zero worker threads, so the open-connection count is
-    /// decoupled from the pool size. Connections are sharded round-robin
-    /// across [`ServerConfig::reactor_shards`] reactor threads, each
-    /// multiplexing with the [`ReactorBackend`] of choice. Falls back to
-    /// [`Transport::Threaded`] on non-Unix hosts.
-    #[default]
-    Reactor,
-}
-
 /// Which OS readiness primitive each reactor shard multiplexes with.
 ///
 /// Both backends drive identical connection state machines; they differ
@@ -279,36 +244,36 @@ pub enum ReactorBackend {
 
 /// Transport tuning knobs for [`serve_with`].
 ///
+/// Reactor threads own every connection and drive the per-connection
+/// framing/keep-alive/timeout state machines; workers only ever see
+/// *complete* requests. N idle or slow connections cost zero worker
+/// threads, so the open-connection count is decoupled from the pool
+/// size. Connections are sharded round-robin across
+/// [`ServerConfig::reactor_shards`] reactor threads, each multiplexing
+/// with the [`ReactorBackend`] of choice.
+///
 /// ```
-/// use coin_server::http::{ServerConfig, Transport};
+/// use coin_server::http::ServerConfig;
 /// use std::time::Duration;
 ///
 /// let cfg = ServerConfig {
 ///     workers: 8,
 ///     idle_timeout: Duration::from_secs(30),
-///     transport: Transport::Reactor,
 ///     ..ServerConfig::default()
 /// };
 /// assert!(cfg.keep_alive);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Handler threads. Under [`Transport::Threaded`] each owns at most
-    /// one connection at a time, so this also bounds concurrent
-    /// in-service connections; under [`Transport::Reactor`] it bounds
-    /// only concurrently *executing* requests — open connections can far
-    /// exceed it.
+    /// Handler threads: bounds concurrently *executing* requests — open
+    /// connections can far exceed it.
     pub workers: usize,
-    /// Bounded queue of admitted-but-unserved work (whole connections
-    /// under [`Transport::Threaded`], parsed requests under
-    /// [`Transport::Reactor`]). Overflow is shed with `503 +
-    /// Retry-After`.
+    /// Bounded queue of parsed requests waiting for a worker. Overflow is
+    /// shed with `503 + Retry-After`.
     pub queue_depth: usize,
-    /// Budget on open connections. `0` derives `workers + queue_depth`
-    /// under [`Transport::Threaded`] and
-    /// `max(workers + queue_depth, 1024)` under [`Transport::Reactor`]
-    /// (where idle connections are cheap). Excess connections are shed
-    /// with `503`.
+    /// Budget on open connections. `0` derives
+    /// `max(workers + queue_depth, 1024)` (idle connections are cheap).
+    /// Excess connections are shed with `503`.
     pub max_connections: usize,
     /// Persistent connections (`false` forces `Connection: close` on
     /// every response).
@@ -324,15 +289,12 @@ pub struct ServerConfig {
     /// Deadline for reading one request once its first byte arrived
     /// (slow-loris defense: overrunning it gets `408` and a close).
     pub read_timeout: Duration,
-    /// Connection-to-thread mapping; see [`Transport`].
-    pub transport: Transport,
     /// Reactor event-loop threads; accepted connections are handed off
     /// round-robin, so each shard owns `1/N` of the fleet. `0` derives
-    /// one shard per available core (capped at 8). Ignored under
-    /// [`Transport::Threaded`].
+    /// one shard per available core (capped at 8).
     pub reactor_shards: usize,
     /// Readiness primitive for the reactor shards; see
-    /// [`ReactorBackend`]. Ignored under [`Transport::Threaded`].
+    /// [`ReactorBackend`].
     pub reactor_backend: ReactorBackend,
 }
 
@@ -348,7 +310,6 @@ impl Default for ServerConfig {
             max_body_bytes: 1024 * 1024,
             retry_after_secs: 1,
             read_timeout: Duration::from_secs(10),
-            transport: Transport::default(),
             reactor_shards: 0,
             reactor_backend: ReactorBackend::default(),
         }
@@ -361,13 +322,9 @@ impl ServerConfig {
         if self.max_connections != 0 {
             return self.max_connections;
         }
-        let derived = self.workers.max(1) + self.queue_depth.max(1);
-        match self.transport {
-            Transport::Threaded => derived,
-            // Idle connections cost no thread under the reactor, so the
-            // derived default should not tie fleet size to pool size.
-            Transport::Reactor => derived.max(1024),
-        }
+        // Idle connections cost no thread, so the derived default does
+        // not tie fleet size to pool size.
+        (self.workers.max(1) + self.queue_depth.max(1)).max(1024)
     }
 }
 
@@ -380,16 +337,16 @@ pub(crate) struct ServerMetrics {
     pub(crate) keepalive_reuses: AtomicU64,
     pub(crate) malformed: AtomicU64,
     pub(crate) timeouts: AtomicU64,
-    /// Gauge: connections currently admitted (queued + in service).
+    /// Gauge: connections currently admitted and not yet closed.
     pub(crate) open: AtomicU64,
-    /// Reactor readiness-loop iterations (0 under [`Transport::Threaded`]).
+    /// Reactor readiness-loop iterations, summed over shards.
     pub(crate) wakeups: AtomicU64,
     /// Chunked (streaming) responses started.
     pub(crate) streams: AtomicU64,
     /// Streaming responses that ended without the terminal chunk: peer
     /// disconnect, producer error, or producer panic.
     pub(crate) streams_aborted: AtomicU64,
-    /// Per-shard reactor gauges (empty under [`Transport::Threaded`]).
+    /// Per-shard reactor gauges.
     pub(crate) shards: Vec<ShardMetrics>,
 }
 
@@ -408,7 +365,7 @@ pub(crate) struct ShardMetrics {
 }
 
 impl ServerMetrics {
-    /// Metrics for a reactor transport with `n` shards.
+    /// Metrics for a server with `n` reactor shards.
     pub(crate) fn with_shards(n: usize) -> ServerMetrics {
         ServerMetrics {
             shards: (0..n).map(|_| ShardMetrics::default()).collect(),
@@ -454,9 +411,8 @@ pub struct ServerMetricsSnapshot {
     /// Connections the accept loop took off the listener.
     pub connections_accepted: u64,
     /// Admissions refused with `503 + Retry-After`: whole connections
-    /// (budget exceeded, or — under [`Transport::Threaded`] — queue
-    /// full), plus individual requests shed off open connections when the
-    /// reactor's work queue is full.
+    /// (budget exceeded), plus individual requests shed off open
+    /// connections when the work queue is full.
     pub connections_shed: u64,
     /// Requests handed to handlers.
     pub requests: u64,
@@ -469,11 +425,10 @@ pub struct ServerMetricsSnapshot {
     /// `read_timeout` (answered `408`, connection closed).
     pub request_timeouts: u64,
     /// Gauge: connections currently open (admitted and not yet closed).
-    /// Under [`Transport::Reactor`] this can far exceed `workers` — the
-    /// point of the readiness loop.
+    /// This can far exceed `workers` — the point of the readiness loop.
     pub open_connections: u64,
     /// Gauge of reactor activity: readiness-loop iterations so far
-    /// (`poll(2)` returns). Always 0 under [`Transport::Threaded`].
+    /// (wait-syscall returns, summed over shards).
     pub reactor_wakeups: u64,
     /// Chunked (streaming) responses started.
     pub streams: u64,
@@ -481,12 +436,12 @@ pub struct ServerMetricsSnapshot {
     /// peer disconnected mid-stream (the running plan was cancelled), the
     /// producer failed, or it panicked.
     pub streams_aborted: u64,
-    /// Per-shard gauge of open connections (empty under
-    /// [`Transport::Threaded`]). The acceptor's round-robin handoff
-    /// keeps these balanced: connection `i` lands on shard `i % N`.
+    /// Per-shard gauge of open connections. The acceptor's round-robin
+    /// handoff keeps these balanced: connection `i` lands on shard
+    /// `i % N`.
     pub open_per_shard: Vec<u64>,
-    /// Per-shard readiness-loop iterations (empty under
-    /// [`Transport::Threaded`]); sums to [`Self::reactor_wakeups`].
+    /// Per-shard readiness-loop iterations; sums to
+    /// [`Self::reactor_wakeups`].
     pub wakeups_per_shard: Vec<u64>,
     /// Cumulative interest-set syscall traffic across all shards:
     /// pollfd slots submitted per wait under [`ReactorBackend::Poll`]
@@ -506,9 +461,9 @@ pub struct ServerHandle {
     accept_thread: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     metrics: Arc<ServerMetrics>,
-    /// Kicks the reactor out of `poll(2)` so it notices the stop flag
-    /// promptly. `None` under [`Transport::Threaded`].
-    waker: Option<Box<dyn Fn() + Send + Sync>>,
+    /// Kicks the acceptor and every shard out of their wait syscall so
+    /// they notice the stop flag promptly.
+    waker: Box<dyn Fn() + Send + Sync>,
 }
 
 impl ServerHandle {
@@ -528,9 +483,7 @@ impl ServerHandle {
 
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(wake) = &self.waker {
-            wake();
-        }
+        (self.waker)();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -539,14 +492,14 @@ impl ServerHandle {
         }
     }
 
-    /// Assemble a handle from transport parts (used by both transports).
+    /// Assemble a handle from the reactor's parts.
     pub(crate) fn from_parts(
         addr: SocketAddr,
         stop: Arc<AtomicBool>,
         accept_thread: std::thread::JoinHandle<()>,
         workers: Vec<std::thread::JoinHandle<()>>,
         metrics: Arc<ServerMetrics>,
-        waker: Option<Box<dyn Fn() + Send + Sync>>,
+        waker: Box<dyn Fn() + Send + Sync>,
     ) -> ServerHandle {
         ServerHandle {
             addr,
@@ -590,12 +543,10 @@ pub fn serve(addr: &str, workers: usize, handler: Handler) -> Result<ServerHandl
 /// # Load-shedding contract
 ///
 /// Admission is bounded, never queued unboundedly. A connection beyond
-/// [`ServerConfig::max_connections`] — or, under
-/// [`Transport::Threaded`], one that finds the work queue full — is
-/// answered `503 Service Unavailable` with a `Retry-After:
-/// {retry_after_secs}` header and closed. Under [`Transport::Reactor`]
-/// a *request* arriving while the work queue is full gets the same
-/// `503 + Retry-After`, but on a keep-alive connection the socket
+/// [`ServerConfig::max_connections`] is answered `503 Service
+/// Unavailable` with a `Retry-After: {retry_after_secs}` header and
+/// closed. A *request* arriving while the work queue is full gets the
+/// same `503 + Retry-After`, but on a keep-alive connection the socket
 /// stays open — a well-behaved client backs off and retries without
 /// reconnecting. Shed admissions are counted in
 /// [`ServerMetricsSnapshot::connections_shed`].
@@ -606,271 +557,7 @@ pub fn serve_with(
 ) -> Result<ServerHandle, HttpError> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
-    match cfg.transport {
-        #[cfg(unix)]
-        Transport::Reactor => crate::reactor::serve(listener, cfg, handler),
-        // Without poll(2) the reactor has no readiness primitive; the
-        // threaded transport speaks the identical protocol.
-        #[cfg(not(unix))]
-        Transport::Reactor => serve_threaded(listener, cfg, handler),
-        Transport::Threaded => serve_threaded(listener, cfg, handler),
-    }
-}
-
-/// The thread-per-connection transport: a nonblocking accept loop admits
-/// whole connections into a bounded queue; each worker owns one
-/// connection at a time for its entire keep-alive lifetime.
-fn serve_threaded(
-    listener: TcpListener,
-    cfg: ServerConfig,
-    handler: Handler,
-) -> Result<ServerHandle, HttpError> {
-    let local = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let metrics = Arc::new(ServerMetrics::default());
-    // `active` counts admitted connections (queued + in service) against
-    // the budget; workers decrement when a connection is fully closed.
-    let active = Arc::new(AtomicUsize::new(0));
-
-    let (tx, rx) = mpsc::sync_channel::<TcpStream>(cfg.queue_depth.max(1));
-    let rx = Arc::new(Mutex::new(rx));
-    let mut workers = Vec::with_capacity(cfg.workers.max(1));
-    for _ in 0..cfg.workers.max(1) {
-        let rx = Arc::clone(&rx);
-        let handler = Arc::clone(&handler);
-        let cfg = cfg.clone();
-        let stop = Arc::clone(&stop);
-        let metrics = Arc::clone(&metrics);
-        let active = Arc::clone(&active);
-        workers.push(std::thread::spawn(move || {
-            /// Returns the admission-budget slot when the connection ends —
-            /// via `Drop`, so even a panic unwinding out of the connection
-            /// loop can never leak budget (a leaked slot would eventually
-            /// wedge the accept loop into shedding everything).
-            struct Slot<'a>(&'a AtomicUsize, &'a ServerMetrics);
-            impl Drop for Slot<'_> {
-                fn drop(&mut self) {
-                    self.0.fetch_sub(1, Ordering::SeqCst);
-                    self.1.open.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            loop {
-                let next = rx
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .recv();
-                match next {
-                    Ok(stream) => {
-                        let _slot = Slot(&active, &metrics);
-                        serve_connection(stream, &cfg, &handler, &metrics, &stop);
-                    }
-                    Err(_) => break,
-                }
-            }
-        }));
-    }
-
-    let stop2 = Arc::clone(&stop);
-    let metrics2 = Arc::clone(&metrics);
-    let budget = cfg.budget();
-    let retry_after = cfg.retry_after_secs;
-    let accept_thread = std::thread::spawn(move || {
-        let mut backoff = Duration::from_micros(50);
-        loop {
-            if stop2.load(Ordering::SeqCst) {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    backoff = Duration::from_micros(50);
-                    metrics2.accepted.fetch_add(1, Ordering::Relaxed);
-                    // Accepted sockets may inherit O_NONBLOCK on some
-                    // platforms; workers want blocking reads.
-                    let _ = stream.set_nonblocking(false);
-                    if active.load(Ordering::SeqCst) >= budget {
-                        shed(stream, retry_after, &metrics2);
-                        continue;
-                    }
-                    active.fetch_add(1, Ordering::SeqCst);
-                    metrics2.open.fetch_add(1, Ordering::SeqCst);
-                    match tx.try_send(stream) {
-                        Ok(()) => {}
-                        Err(mpsc::TrySendError::Full(stream)) => {
-                            active.fetch_sub(1, Ordering::SeqCst);
-                            metrics2.open.fetch_sub(1, Ordering::SeqCst);
-                            shed(stream, retry_after, &metrics2);
-                        }
-                        Err(mpsc::TrySendError::Disconnected(_)) => break,
-                    }
-                }
-                Err(_) => {
-                    // WouldBlock (idle) and transient accept failures
-                    // (ECONNABORTED from a peer RST mid-handshake, EMFILE
-                    // under FD exhaustion) take the same path: back off
-                    // and keep accepting — the loop only exits on the
-                    // stop flag, never on a transient error. Exponential
-                    // back-off keeps the loop cheap when quiet and snappy
-                    // under bursts.
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                }
-            }
-        }
-        // Dropping `tx` wakes every idle worker out of `recv`.
-    });
-
-    Ok(ServerHandle::from_parts(
-        local,
-        stop,
-        accept_thread,
-        workers,
-        metrics,
-        None,
-    ))
-}
-
-/// Refuse a connection with the load-shedding response.
-pub(crate) fn shed(stream: TcpStream, retry_after_secs: u64, metrics: &ServerMetrics) {
-    metrics.shed.fetch_add(1, Ordering::Relaxed);
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = write_response(&stream, &HttpResponse::unavailable(retry_after_secs), false);
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// Why reading the next request off a connection stopped.
-#[derive(Debug)]
-pub(crate) enum RequestError {
-    /// Framing violation: `400`, close, keep the worker.
-    Malformed(String),
-    /// Request line or headers larger than the caps: `431`, close.
-    HeadTooLarge(String),
-    /// Body larger than the configured cap: `413`, close.
-    TooLarge(String),
-    /// The peer started a request but did not finish it within
-    /// `read_timeout` (slow-loris defense): `408`, close.
-    Timeout,
-    /// Hard I/O error, mid-request EOF, or server shutdown: close
-    /// silently.
-    Io,
-}
-
-/// Serve one connection until it closes, idles out, errors, or the server
-/// stops. Requests are read sequentially off the socket, so pipelined
-/// requests are answered in order.
-fn serve_connection(
-    stream: TcpStream,
-    cfg: &ServerConfig,
-    handler: &Handler,
-    metrics: &ServerMetrics,
-    stop: &AtomicBool,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    // The socket reads on a short poll timeout for the connection's whole
-    // life: every blocking read re-checks the stop flag and the relevant
-    // deadline (idle or per-request) within one tick.
-    let poll = POLL_INTERVAL
-        .min(cfg.idle_timeout)
-        .max(Duration::from_millis(1));
-    let _ = stream.set_read_timeout(Some(poll));
-    let mut served = 0usize;
-    let mut idle = Duration::ZERO;
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        // Peek for the next request.
-        match reader.fill_buf() {
-            Ok([]) => break, // peer closed cleanly
-            Ok(_) => {}
-            Err(e) if is_timeout(&e) => {
-                idle += poll;
-                if idle >= cfg.idle_timeout {
-                    break;
-                }
-                continue;
-            }
-            Err(_) => break,
-        }
-        idle = Duration::ZERO;
-        // The whole request must arrive within `read_timeout` regardless
-        // of how slowly bytes drip in (read_request re-polls on timeout).
-        let deadline = std::time::Instant::now() + cfg.read_timeout;
-        match read_request(&mut reader, cfg.max_body_bytes, stop, deadline) {
-            Ok(request) => {
-                served += 1;
-                let keep = connection_persists(&request, cfg, served);
-                // Contain handler panics: the worker and its budget slot
-                // survive; the peer gets a 500 and a clean close.
-                let response =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(&request)));
-                metrics.requests.fetch_add(1, Ordering::Relaxed);
-                if served > 1 {
-                    metrics.keepalive_reuses.fetch_add(1, Ordering::Relaxed);
-                }
-                let Ok(mut response) = response else {
-                    let _ = write_response(
-                        &stream,
-                        &HttpResponse::error(500, "handler panicked"),
-                        false,
-                    );
-                    break;
-                };
-                if response.stream.is_some() {
-                    metrics.streams.fetch_add(1, Ordering::Relaxed);
-                    match write_stream_response(&stream, &mut response, keep) {
-                        StreamOutcome::Clean => {
-                            if keep {
-                                continue;
-                            }
-                            break;
-                        }
-                        StreamOutcome::Aborted => {
-                            metrics.streams_aborted.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                }
-                if write_response(&stream, &response, keep).is_err() || !keep {
-                    break;
-                }
-            }
-            Err(RequestError::Malformed(m)) => {
-                metrics.malformed.fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(
-                    &stream,
-                    &HttpResponse::error(400, &format!("bad request: {m}")),
-                    false,
-                );
-                break;
-            }
-            Err(RequestError::HeadTooLarge(m)) => {
-                metrics.malformed.fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(&stream, &HttpResponse::error(431, &m), false);
-                break;
-            }
-            Err(RequestError::TooLarge(m)) => {
-                metrics.malformed.fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(&stream, &HttpResponse::error(413, &m), false);
-                break;
-            }
-            Err(RequestError::Timeout) => {
-                metrics.timeouts.fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(
-                    &stream,
-                    &HttpResponse::error(408, "request not completed in time"),
-                    false,
-                );
-                break;
-            }
-            Err(RequestError::Io) => break,
-        }
-    }
-    let _ = stream.shutdown(Shutdown::Both);
+    crate::reactor::serve(listener, cfg, handler)
 }
 
 /// Does this connection survive past the current request?
@@ -890,226 +577,6 @@ pub(crate) fn connection_persists(
         Some(c) if c.eq_ignore_ascii_case("keep-alive") => true,
         _ => request.version == "HTTP/1.1",
     }
-}
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
-}
-
-/// The peer dropped the connection (as opposed to timing out or failing
-/// some other way) — the only error a pooled client socket may retry on.
-fn is_disconnect(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        ErrorKind::UnexpectedEof
-            | ErrorKind::ConnectionReset
-            | ErrorKind::ConnectionAborted
-            | ErrorKind::BrokenPipe
-    )
-}
-
-/// Map a failed socket read during request parsing: timeouts re-poll
-/// until the request deadline (or shutdown), anything else is fatal.
-fn parse_read_error(
-    e: &std::io::Error,
-    stop: &AtomicBool,
-    deadline: std::time::Instant,
-) -> Result<(), RequestError> {
-    if !is_timeout(e) {
-        return Err(RequestError::Io);
-    }
-    if stop.load(Ordering::SeqCst) {
-        return Err(RequestError::Io);
-    }
-    if std::time::Instant::now() >= deadline {
-        return Err(RequestError::Timeout);
-    }
-    Ok(()) // still within budget: poll again
-}
-
-/// Read one head line (request line or header), bounded by
-/// [`MAX_HEAD_LINE`] and the request deadline. EOF mid-line is a hard
-/// error; a byte-dripping peer runs out of `deadline`, not of patience.
-fn read_head_line(
-    reader: &mut BufReader<TcpStream>,
-    stop: &AtomicBool,
-    deadline: std::time::Instant,
-) -> Result<String, RequestError> {
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        let (found, used) = {
-            let buf = match reader.fill_buf() {
-                Ok([]) => return Err(RequestError::Io),
-                Ok(buf) => buf,
-                Err(e) => {
-                    parse_read_error(&e, stop, deadline)?;
-                    continue;
-                }
-            };
-            match buf.iter().position(|&b| b == b'\n') {
-                Some(i) => {
-                    line.extend_from_slice(&buf[..=i]);
-                    (true, i + 1)
-                }
-                None => {
-                    line.extend_from_slice(buf);
-                    (false, buf.len())
-                }
-            }
-        };
-        reader.consume(used);
-        if line.len() > MAX_HEAD_LINE {
-            return Err(RequestError::HeadTooLarge("head line too long".into()));
-        }
-        if found {
-            break;
-        }
-    }
-    let mut text = String::from_utf8_lossy(&line).into_owned();
-    while text.ends_with('\n') || text.ends_with('\r') {
-        text.pop();
-    }
-    Ok(text)
-}
-
-/// `read_exact` honoring the request deadline and the stop flag.
-fn read_body(
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-    deadline: std::time::Instant,
-) -> Result<(), RequestError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => return Err(RequestError::Io),
-            Ok(n) => filled += n,
-            Err(e) => parse_read_error(&e, stop, deadline)?,
-        }
-    }
-    Ok(())
-}
-
-/// Parse one request off the connection (request line, headers,
-/// `Content-Length` body), enforcing framing and size limits plus an
-/// overall read deadline.
-fn read_request(
-    reader: &mut BufReader<TcpStream>,
-    max_body_bytes: usize,
-    stop: &AtomicBool,
-    deadline: std::time::Instant,
-) -> Result<HttpRequest, RequestError> {
-    // Tolerate blank line(s) between pipelined requests (RFC 9112 §2.2).
-    let mut request_line = read_head_line(reader, stop, deadline)?;
-    let mut skipped = 0;
-    while request_line.is_empty() {
-        skipped += 1;
-        if skipped > 4 {
-            return Err(RequestError::Malformed("blank request".into()));
-        }
-        request_line = read_head_line(reader, stop, deadline)?;
-    }
-
-    let (method, path, query, version) = parse_request_line(&request_line)?;
-
-    let mut headers = BTreeMap::new();
-    let mut head_bytes = request_line.len();
-    loop {
-        let hline = read_head_line(reader, stop, deadline)?;
-        if hline.is_empty() {
-            break;
-        }
-        head_bytes += hline.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(RequestError::HeadTooLarge("request head too large".into()));
-        }
-        insert_header_line(&mut headers, &hline);
-    }
-
-    let len = content_length(&headers, max_body_bytes)?;
-    let mut body = vec![0u8; len];
-    if len > 0 {
-        read_body(reader, &mut body, stop, deadline)?;
-    }
-    Ok(HttpRequest {
-        method,
-        path,
-        query,
-        headers,
-        body,
-        version,
-    })
-}
-
-/// Parse a request line into (method, path, decoded query, version).
-/// Shared by the blocking reader and the reactor's incremental parser so
-/// both transports accept exactly the same dialect.
-pub(crate) fn parse_request_line(
-    request_line: &str,
-) -> Result<(String, String, BTreeMap<String, String>, String), RequestError> {
-    let mut parts = request_line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or_else(|| RequestError::Malformed("missing method".into()))?
-        .to_owned();
-    let target = parts
-        .next()
-        .ok_or_else(|| RequestError::Malformed("missing path".into()))?
-        .to_owned();
-    let version = match parts.next() {
-        None => "HTTP/1.0".to_owned(), // HTTP/0.9-style simple request
-        Some(v) if v.starts_with("HTTP/") => v.to_owned(),
-        Some(v) => {
-            return Err(RequestError::Malformed(format!("bad version {v:?}")));
-        }
-    };
-    let (path, query_str) = match target.split_once('?') {
-        Some((p, q)) => (p.to_owned(), Some(q.to_owned())),
-        None => (target, None),
-    };
-    let mut query = BTreeMap::new();
-    if let Some(q) = query_str {
-        for pair in q.split('&').filter(|p| !p.is_empty()) {
-            match pair.split_once('=') {
-                Some((k, v)) => {
-                    query.insert(
-                        coin_wrapper::web::url_decode(k),
-                        coin_wrapper::web::url_decode(v),
-                    );
-                }
-                None => {
-                    query.insert(coin_wrapper::web::url_decode(pair), String::new());
-                }
-            }
-        }
-    }
-    Ok((method, path, query, version))
-}
-
-/// Fold one `Name: value` line into the (lower-cased) header map.
-pub(crate) fn insert_header_line(headers: &mut BTreeMap<String, String>, line: &str) {
-    if let Some((k, v)) = line.split_once(':') {
-        headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_owned());
-    }
-}
-
-/// Decode and bound the `Content-Length` header.
-pub(crate) fn content_length(
-    headers: &BTreeMap<String, String>,
-    max_body_bytes: usize,
-) -> Result<usize, RequestError> {
-    let len: usize = match headers.get("content-length") {
-        None => 0,
-        Some(v) => v
-            .parse()
-            .map_err(|_| RequestError::Malformed(format!("bad content-length {v:?}")))?,
-    };
-    if len > max_body_bytes {
-        return Err(RequestError::TooLarge(format!(
-            "body of {len} bytes exceeds the {max_body_bytes}-byte limit"
-        )));
-    }
-    Ok(len)
 }
 
 /// The terminal chunk of a chunked body: its presence is what tells the
@@ -1143,65 +610,6 @@ pub(crate) fn encode_stream_head(resp: &HttpResponse, keep_alive: bool) -> Vec<u
     head.into_bytes()
 }
 
-/// How a streamed response ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StreamOutcome {
-    /// Terminal chunk written: the peer has a complete body and a
-    /// keep-alive connection may serve the next request.
-    Clean,
-    /// Producer error or write failure: the connection must close without
-    /// the terminal chunk so the peer sees the truncation.
-    Aborted,
-}
-
-/// Drive a streamed response over a blocking socket: write the chunked
-/// head, then pull/frame/write until the producer finishes. Used by the
-/// threaded transport (the reactor frames chunks in its event loop
-/// instead). A write failure flips the producer's cancel flag — on this
-/// transport a disconnect is only *observed* through the failed write —
-/// and aborts.
-pub(crate) fn write_stream_response(
-    mut sock: &TcpStream,
-    resp: &mut HttpResponse,
-    keep_alive: bool,
-) -> StreamOutcome {
-    let Some(mut body) = resp.stream.take() else {
-        return StreamOutcome::Aborted;
-    };
-    let abort = |body: &StreamBody| {
-        body.cancel_flag().store(true, Ordering::SeqCst);
-        StreamOutcome::Aborted
-    };
-    if sock
-        .write_all(&encode_stream_head(resp, keep_alive))
-        .is_err()
-    {
-        return abort(&body);
-    }
-    loop {
-        if body.cancel_flag().load(Ordering::SeqCst) {
-            return StreamOutcome::Aborted;
-        }
-        match body.pull() {
-            Ok(Some(chunk)) => {
-                if chunk.is_empty() {
-                    continue; // an empty frame would read as the terminator
-                }
-                if sock.write_all(&encode_chunk(&chunk)).is_err() {
-                    return abort(&body);
-                }
-            }
-            Ok(None) => {
-                if sock.write_all(CHUNK_TERMINATOR).is_err() || sock.flush().is_err() {
-                    return abort(&body);
-                }
-                return StreamOutcome::Clean;
-            }
-            Err(_) => return abort(&body),
-        }
-    }
-}
-
 /// Serialize a response (head + body) into wire bytes. Responses are
 /// always length-framed so keep-alive peers can find the next response.
 pub(crate) fn encode_response(resp: &HttpResponse, keep_alive: bool) -> Vec<u8> {
@@ -1225,19 +633,21 @@ pub(crate) fn encode_response(resp: &HttpResponse, keep_alive: bool) -> Vec<u8> 
     bytes
 }
 
-fn write_response(
-    mut stream: &TcpStream,
-    resp: &HttpResponse,
-    keep_alive: bool,
-) -> Result<(), HttpError> {
-    stream.write_all(&encode_response(resp, keep_alive))?;
-    stream.flush()?;
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // Client
 // ---------------------------------------------------------------------------
+
+/// The peer dropped the connection (as opposed to timing out or failing
+/// some other way) — the only error a pooled client socket may retry on.
+fn is_disconnect(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        ErrorKind::UnexpectedEof
+            | ErrorKind::ConnectionReset
+            | ErrorKind::ConnectionAborted
+            | ErrorKind::BrokenPipe
+    )
+}
 
 /// A decoded response: status, headers (lower-cased names), body.
 #[derive(Debug, Clone)]
@@ -1605,6 +1015,7 @@ pub fn post(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{mpsc, Mutex};
 
     fn echo_handler() -> Handler {
         Arc::new(
@@ -1714,8 +1125,9 @@ mod tests {
 
     #[test]
     fn overload_sheds_with_503() {
-        // One worker, queue of one: a slow in-service request + a queued
-        // connection exhaust the budget; the third connection is shed.
+        // One worker, queue of one, two connections: a slow in-service
+        // request + a queued one on a second connection exhaust the
+        // budget; the third connection is shed.
         let (entered_tx, entered_rx) = mpsc::channel::<()>();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let release_rx = Mutex::new(release_rx);
@@ -1740,7 +1152,7 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("first request reaches the worker");
         let t2 = std::thread::spawn(move || get(&addr, "/b"));
-        // Wait until the second connection is admitted (it parks in the
+        // Wait until the second request is admitted (it parks in the
         // queue: the only worker is blocked inside the handler).
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while server.metrics().open_connections < 2 || server.metrics().requests < 2 {

@@ -5,10 +5,10 @@
 //! an ODBC-family client API and an HTML Query-By-Example form (paper §2).
 //!
 //! * [`json`] — self-contained JSON codec for the wire protocol;
-//! * [`http`] — HTTP/1.1 keep-alive server (event-driven reactor or
-//!   thread-per-connection transport over a bounded worker pool, with
-//!   load shedding) and blocking clients (one-shot helpers plus the
-//!   persistent [`http::HttpClient`]);
+//! * [`http`] — HTTP/1.1 keep-alive server (sharded event-driven
+//!   reactor over a bounded worker pool, with load shedding) and
+//!   blocking clients (one-shot helpers plus the persistent
+//!   [`http::HttpClient`]);
 //! * [`protocol`] — the mediation endpoints (`/dictionary`, `/query`,
 //!   `/stats`, `/qbe`) over a shared [`coin_core::CoinSystem`] (or a
 //!   [`protocol::SharedSystem`] when administration interleaves with
@@ -16,23 +16,26 @@
 //! * [`client`] — [`client::Connection`] / [`client::Statement`] /
 //!   [`client::ResultSet`], the ODBC-style API (connection-reusing);
 //! * [`qbe`] — QBE form rendering and submission handling.
+//!
+//! The server multiplexes connections with `epoll(7)` or `poll(2)`, so
+//! the crate builds on Unix hosts only.
+
+#[cfg(not(unix))]
+compile_error!("coin-server's reactor needs poll(2): build on a Unix host");
 
 pub mod client;
-#[cfg(unix)]
 mod conn;
 pub mod http;
 pub mod json;
-#[cfg(unix)]
 mod poller;
 pub mod protocol;
 pub mod qbe;
-#[cfg(unix)]
 mod reactor;
 
 pub use client::{ClientError, Connection, ResultSet, ServerStats, Statement, TableInfo};
 pub use http::{
     HttpClient, HttpError, HttpRequest, HttpResponse, ReactorBackend, ServerConfig, ServerHandle,
-    ServerMetricsSnapshot, StreamBody, Transport,
+    ServerMetricsSnapshot, StreamBody,
 };
 pub use json::{parse as parse_json, Json, JsonBuf, JsonError};
 pub use protocol::{

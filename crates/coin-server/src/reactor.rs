@@ -1,5 +1,5 @@
-//! The event-driven reactor transport (Unix only), sharded across N
-//! event-loop threads.
+//! The server's transport: an event-driven reactor (Unix only), sharded
+//! across N event-loop threads.
 //!
 //! A dedicated **acceptor** thread owns the nonblocking listener. Every
 //! accepted connection is either shed (`503 + Retry-After` when the
@@ -34,17 +34,19 @@
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use crate::conn::{try_parse_request, Conn, ConnState, ParseStatus, StreamHandle, StreamMsg};
+use crate::conn::{
+    try_parse_request, Conn, ConnState, ParseStatus, RequestError, StreamHandle, StreamMsg,
+};
 use crate::http::{
-    connection_persists, encode_chunk, encode_stream_head, shed, Handler, HttpError, HttpRequest,
-    HttpResponse, ReactorBackend, RequestError, ServerConfig, ServerHandle, ServerMetrics,
+    connection_persists, encode_chunk, encode_response, encode_stream_head, Handler, HttpError,
+    HttpRequest, HttpResponse, ReactorBackend, ServerConfig, ServerHandle, ServerMetrics,
     CHUNK_TERMINATOR,
 };
 use crate::poller::{poll_wait, Backend, Event, PollFd, Poller, POLLIN, WAKE_TOKEN};
@@ -292,13 +294,24 @@ pub(crate) fn serve(
         accept_thread,
         transport_threads,
         metrics,
-        Some(Box::new(move || {
+        Box::new(move || {
             let _ = (&accept_wake_tx).write(&[1]);
             for wake in &shard_wake_tx {
                 let _ = (&*wake).write(&[1]);
             }
-        })),
+        }),
     ))
+}
+
+/// Refuse a connection with the load-shedding response.
+fn shed(stream: TcpStream, retry_after_secs: u64, metrics: &ServerMetrics) {
+    metrics.shed.fetch_add(1, Ordering::Relaxed);
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+    let _ = (&stream).write_all(&encode_response(
+        &HttpResponse::unavailable(retry_after_secs),
+        false,
+    ));
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// The acceptor's handle to one shard: where to queue a socket and how
@@ -741,27 +754,14 @@ impl Shard {
                     }
                 }
                 Err(e) => {
-                    let (response, counter) = match e {
-                        RequestError::Malformed(m) => (
-                            HttpResponse::error(400, &format!("bad request: {m}")),
-                            &self.metrics.malformed,
-                        ),
-                        RequestError::HeadTooLarge(m) => {
-                            (HttpResponse::error(431, &m), &self.metrics.malformed)
+                    let response = match e {
+                        RequestError::Malformed(m) => {
+                            HttpResponse::error(400, &format!("bad request: {m}"))
                         }
-                        RequestError::TooLarge(m) => {
-                            (HttpResponse::error(413, &m), &self.metrics.malformed)
-                        }
-                        RequestError::Timeout | RequestError::Io => {
-                            // Not produced by the pure parser; treat as a
-                            // framing failure if it ever appears.
-                            (
-                                HttpResponse::error(400, "bad request"),
-                                &self.metrics.malformed,
-                            )
-                        }
+                        RequestError::HeadTooLarge(m) => HttpResponse::error(431, &m),
+                        RequestError::TooLarge(m) => HttpResponse::error(413, &m),
                     };
-                    counter.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.malformed.fetch_add(1, Ordering::Relaxed);
                     conn.state = ConnState::Closing;
                     conn.queue_response(&response, false, now);
                     break;

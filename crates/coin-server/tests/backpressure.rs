@@ -2,23 +2,21 @@
 //! Retry-After`, the server drains and recovers once handlers unblock,
 //! and shutdown is never lost — even while requests are in flight.
 //!
-//! The overload test runs over the reactor conformance matrix
-//! (poll/epoll × 1/4 shards); the threaded transport has its own
-//! connection-budget variant below, and the shutdown test runs on every
-//! transport.
+//! Every test runs over the transport conformance matrix (poll/epoll ×
+//! 1/4 shards): overflow of the work queue sheds *requests*, overflow of
+//! the connection budget sheds *connections*, and both answer `503 +
+//! Retry-After`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use coin_server::http::{
-    serve_with, Handler, HttpClient, HttpRequest, HttpResponse, ServerConfig, Transport,
-};
+use coin_server::http::{serve_with, Handler, HttpClient, HttpRequest, HttpResponse, ServerConfig};
 
 #[path = "support/transport.rs"]
 mod support;
 
-use support::{full_matrix, reactor_matrix, wait_until, EPHEMERAL};
+use support::{matrix, wait_until, EPHEMERAL};
 
 /// A handler that signals entry and then blocks until released.
 fn gated_handler(
@@ -39,7 +37,7 @@ fn gated_handler(
 
 #[test]
 fn full_queue_sheds_503_with_retry_after_then_drains_and_recovers() {
-    for case in reactor_matrix() {
+    for case in matrix() {
         let (entered_tx, entered_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel();
         let (handler, served) = gated_handler(entered_tx, release_rx);
@@ -144,64 +142,65 @@ fn full_queue_sheds_503_with_retry_after_then_drains_and_recovers() {
 }
 
 #[test]
-fn threaded_transport_sheds_over_budget_connections_identically() {
-    // The 503 + Retry-After shedding contract holds on the legacy
-    // transport too: one worker busy, one connection queued, budget 2 —
-    // the third connection is refused.
-    let (entered_tx, entered_rx) = mpsc::channel();
-    let (release_tx, release_rx) = mpsc::channel();
-    let (handler, served) = gated_handler(entered_tx, release_rx);
-    let server = serve_with(
-        EPHEMERAL,
-        ServerConfig {
-            workers: 1,
-            queue_depth: 1,
-            max_connections: 2,
-            retry_after_secs: 5,
-            transport: Transport::Threaded,
-            ..ServerConfig::default()
-        },
-        handler,
-    )
-    .unwrap();
-    let addr = server.addr;
-    let busy = std::thread::spawn(move || {
-        let mut c = HttpClient::new(addr);
-        c.request("GET", "/busy", None, &[]).unwrap()
-    });
-    entered_rx
-        .recv_timeout(Duration::from_secs(5))
-        .expect("request reaches the worker");
-    let queued = std::thread::spawn(move || {
-        let mut c = HttpClient::new(addr);
-        c.request("GET", "/queued", None, &[]).unwrap()
-    });
-    // Both connections counted open = the budget is exhausted; the next
-    // connection must be shed (the gauge is the readiness signal — a
-    // fixed sleep here was a flake).
-    wait_until("both connections to be admitted", || {
-        server.metrics().open_connections == 2
-    });
+fn over_budget_connections_are_shed_with_retry_after() {
+    // The connection budget is checked at accept: one request in the
+    // handler, one parked in the queue on a second connection, budget 2 —
+    // the third connection is refused before it sends a byte.
+    for case in matrix() {
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let (handler, served) = gated_handler(entered_tx, release_rx);
+        let server = serve_with(
+            EPHEMERAL,
+            case.apply(ServerConfig {
+                workers: 1,
+                queue_depth: 1,
+                max_connections: 2,
+                retry_after_secs: 5,
+                ..ServerConfig::default()
+            }),
+            handler,
+        )
+        .unwrap();
+        let addr = server.addr;
+        let busy = std::thread::spawn(move || {
+            let mut c = HttpClient::new(addr);
+            c.request("GET", "/busy", None, &[]).unwrap()
+        });
+        entered_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("request reaches the worker");
+        let queued = std::thread::spawn(move || {
+            let mut c = HttpClient::new(addr);
+            c.request("GET", "/queued", None, &[]).unwrap()
+        });
+        // Both connections counted open = the budget is exhausted (the
+        // gauge is the readiness signal — a fixed sleep here was a flake).
+        wait_until("both connections to be admitted", || {
+            server.metrics().open_connections == 2
+        });
 
-    let mut probe = HttpClient::new(addr);
-    let resp = probe.send("GET", "/overflow", None, &[]).unwrap();
-    assert_eq!(resp.status, 503);
-    assert_eq!(
-        resp.headers.get("retry-after").map(String::as_str),
-        Some("5")
-    );
-    assert!(served.load(Ordering::SeqCst) == 0, "nothing finished yet");
+        let mut probe = HttpClient::new(addr);
+        let resp = probe.send("GET", "/overflow", None, &[]).unwrap();
+        assert_eq!(resp.status, 503, "[{}]", case.name);
+        assert_eq!(
+            resp.headers.get("retry-after").map(String::as_str),
+            Some("5")
+        );
+        assert_eq!(server.metrics().connections_shed, 1, "[{}]", case.name);
+        assert_eq!(served.load(Ordering::SeqCst), 0, "nothing finished yet");
 
-    release_tx.send(()).unwrap();
-    release_tx.send(()).unwrap();
-    assert_eq!(busy.join().unwrap(), b"done");
-    assert_eq!(queued.join().unwrap(), b"done");
-    server.stop();
+        release_tx.send(()).unwrap();
+        release_tx.send(()).unwrap();
+        assert_eq!(busy.join().unwrap(), b"done");
+        assert_eq!(queued.join().unwrap(), b"done");
+        server.stop();
+    }
 }
 
 #[test]
 fn shutdown_is_not_lost_while_handlers_are_busy() {
-    for case in full_matrix() {
+    for case in matrix() {
         let (entered_tx, entered_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel();
         let (handler, _served) = gated_handler(entered_tx, release_rx);

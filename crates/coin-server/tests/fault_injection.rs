@@ -19,7 +19,7 @@ use coin_wrapper::RelationalSource;
 #[path = "support/transport.rs"]
 mod support;
 
-use support::{reactor_matrix, wait_until, TransportCase, EPHEMERAL};
+use support::{matrix, wait_until, TransportCase, EPHEMERAL};
 
 const BULK_SQL: &str = "SELECT big.id, big.payload FROM big";
 
@@ -79,7 +79,7 @@ fn disconnect_mid_handshake_leaves_no_residue_on_any_shard() {
     // Peers that connect and vanish before sending a single byte: two
     // per shard, admitted (the gauge counts them), then gone. No request
     // ever existed, so no counter but the gauge may move.
-    for case in reactor_matrix() {
+    for case in matrix() {
         let server = start(
             case,
             ServerConfig {
@@ -120,7 +120,7 @@ fn disconnect_mid_headers_is_a_silent_close_not_an_error() {
     // A peer that dies halfway through its request line is neither a
     // malformed request (it might have finished) nor a timeout (it
     // didn't stall — it vanished). One per shard.
-    for case in reactor_matrix() {
+    for case in matrix() {
         let server = start(
             case,
             ServerConfig {

@@ -4,8 +4,8 @@
 //! for malformed or oversized requests.
 //!
 //! The whole suite runs over the transport conformance matrix
-//! (threaded + poll/epoll × 1/4 shards): the keep-alive dialect is a
-//! wire contract and must not vary with the transport behind it.
+//! (poll/epoll × 1/4 shards): the keep-alive dialect is a wire contract
+//! and must not vary with the backend or shard count behind it.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -14,12 +14,12 @@ use std::time::Duration;
 
 use coin_core::fixtures::figure2_system;
 use coin_server::http::{HttpClient, HttpError};
-use coin_server::{start_server_with, Connection, ServerConfig, ServerHandle, Transport};
+use coin_server::{start_server_with, Connection, ServerConfig, ServerHandle};
 
 #[path = "support/transport.rs"]
 mod support;
 
-use support::{full_matrix, wait_until, TransportCase, EPHEMERAL};
+use support::{matrix, wait_until, TransportCase, EPHEMERAL};
 
 const Q1: &str = "SELECT r1.cname, r1.revenue FROM r1, r2 \
                   WHERE r1.cname = r2.cname AND r1.revenue > r2.expenses";
@@ -34,7 +34,7 @@ fn query_body(sql: &str) -> String {
 
 #[test]
 fn one_connection_serves_many_query_and_stats_requests() {
-    for case in full_matrix() {
+    for case in matrix() {
         let server = start(case, ServerConfig::default());
         let mut client = HttpClient::new(server.addr);
         for round in 0..10 {
@@ -67,7 +67,7 @@ fn one_connection_serves_many_query_and_stats_requests() {
 
 #[test]
 fn odbc_connection_reuses_its_socket() {
-    for case in full_matrix() {
+    for case in matrix() {
         let server = start(case, ServerConfig::default());
         let conn = Connection::open(server.addr, "c_recv");
         for _ in 0..5 {
@@ -86,7 +86,7 @@ fn responses_carry_exact_framing() {
     // Keep-alive requires self-delimiting responses: streamed `/query`
     // answers are `Transfer-Encoding: chunked`, everything else carries
     // an exact `Content-Length`. Both kinds interleave on one socket.
-    for case in full_matrix() {
+    for case in matrix() {
         let server = start(case, ServerConfig::default());
         let mut client = HttpClient::new(server.addr);
         for _ in 0..3 {
@@ -132,7 +132,7 @@ fn responses_carry_exact_framing() {
 
 #[test]
 fn pipelined_requests_are_answered_in_order() {
-    for case in full_matrix() {
+    for case in matrix() {
         let server = start(case, ServerConfig::default());
         let mut raw = TcpStream::connect(server.addr).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -174,7 +174,7 @@ fn pipelined_requests_are_answered_in_order() {
 
 #[test]
 fn idle_timeout_closes_the_connection_and_client_reconnects() {
-    for case in full_matrix() {
+    for case in matrix() {
         let server = start(
             case,
             ServerConfig {
@@ -202,7 +202,7 @@ fn idle_timeout_closes_the_connection_and_client_reconnects() {
 
 #[test]
 fn stale_socket_replay_is_method_aware() {
-    for case in full_matrix() {
+    for case in matrix() {
         let server = start(
             case,
             ServerConfig {
@@ -267,7 +267,7 @@ fn stale_socket_replay_is_method_aware() {
 
 #[test]
 fn connection_close_header_is_honored() {
-    for case in full_matrix() {
+    for case in matrix() {
         let server = start(case, ServerConfig::default());
         let mut raw = TcpStream::connect(server.addr).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -287,7 +287,7 @@ fn connection_close_header_is_honored() {
 
 #[test]
 fn http_10_defaults_to_close() {
-    for case in full_matrix() {
+    for case in matrix() {
         let server = start(case, ServerConfig::default());
         let mut raw = TcpStream::connect(server.addr).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -305,7 +305,7 @@ fn http_10_defaults_to_close() {
 
 #[test]
 fn max_requests_per_connection_is_enforced() {
-    for case in full_matrix() {
+    for case in matrix() {
         let server = start(
             case,
             ServerConfig {
@@ -324,7 +324,7 @@ fn max_requests_per_connection_is_enforced() {
 
 #[test]
 fn malformed_framing_gets_4xx_without_killing_the_worker() {
-    for case in full_matrix() {
+    for case in matrix() {
         let server = start(
             case,
             ServerConfig {
@@ -362,7 +362,7 @@ fn malformed_framing_gets_4xx_without_killing_the_worker() {
 fn stalled_request_gets_408_within_the_read_deadline() {
     // Slow-loris defense: a request that starts but never finishes must
     // be answered 408 once `read_timeout` elapses, not held forever.
-    for case in full_matrix() {
+    for case in matrix() {
         let server = start(
             case,
             ServerConfig {
@@ -389,7 +389,7 @@ fn stalled_request_gets_408_within_the_read_deadline() {
 
 #[test]
 fn oversized_header_gets_431() {
-    for case in full_matrix() {
+    for case in matrix() {
         let server = start(case, ServerConfig::default());
         let mut raw = TcpStream::connect(server.addr).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -410,7 +410,7 @@ fn oversized_header_gets_431() {
 
 #[test]
 fn oversized_body_gets_413_and_connection_close() {
-    for case in full_matrix() {
+    for case in matrix() {
         let server = start(
             case,
             ServerConfig {
@@ -437,44 +437,8 @@ fn oversized_body_gets_413_and_connection_close() {
 }
 
 #[test]
-fn threaded_transport_speaks_the_same_keepalive_dialect() {
-    // The legacy thread-per-connection transport stays available behind
-    // `ServerConfig::transport` and must behave identically for a
-    // fleet that fits its worker pool. (Kept outside the matrix: the
-    // zero-wakeups assertion is meaningful only here.)
-    let server = start(
-        support::THREADED,
-        ServerConfig {
-            transport: Transport::Threaded,
-            ..ServerConfig::default()
-        },
-    );
-    let mut client = HttpClient::new(server.addr);
-    for _ in 0..5 {
-        let body = client
-            .request(
-                "POST",
-                "/query",
-                Some("application/json"),
-                query_body(Q1).as_bytes(),
-            )
-            .unwrap();
-        assert!(String::from_utf8_lossy(&body).contains("NTT"));
-    }
-    assert_eq!(client.connects(), 1);
-    let m = server.metrics();
-    assert_eq!(m.connections_accepted, 1);
-    assert_eq!(m.requests, 5);
-    assert_eq!(m.keepalive_reuses, 4);
-    assert_eq!(m.open_connections, 1, "gauge works under threaded too");
-    assert_eq!(m.reactor_wakeups, 0, "no readiness loop in threaded mode");
-    drop(client);
-    server.stop();
-}
-
-#[test]
 fn keep_alive_can_be_disabled_server_side() {
-    for case in full_matrix() {
+    for case in matrix() {
         let server = start(
             case,
             ServerConfig {
@@ -493,4 +457,12 @@ fn keep_alive_can_be_disabled_server_side() {
         assert_eq!(client.connects(), 3, "[{}] fresh conn each", case.name);
         server.stop();
     }
+}
+
+#[test]
+#[should_panic(expected = "COIN_TEST_TRANSPORT=threaded names no transport case")]
+fn the_removed_threaded_case_is_rejected_by_name() {
+    // A CI job or shell still narrowing to the removed transport must
+    // fail, not pass by running nothing.
+    support::select(Some("threaded"));
 }

@@ -26,7 +26,7 @@ mod load;
 mod support;
 
 use load::IdleFleet;
-use support::{reactor_matrix, wait_until, TransportCase, EPHEMERAL};
+use support::{matrix, wait_until, TransportCase, EPHEMERAL};
 
 fn start(case: TransportCase, config: ServerConfig) -> ServerHandle {
     start_server_with(Arc::new(figure2_system()), EPHEMERAL, case.apply(config)).unwrap()
@@ -55,7 +55,7 @@ fn wait_for(server: &ServerHandle, pred: impl Fn(u64) -> bool, what: &str) {
 fn idle_fleet_outnumbers_workers_and_all_requests_complete() {
     const WORKERS: usize = 2;
     const FLEET: usize = 8 * WORKERS; // ≥ 4× is the acceptance floor
-    for case in reactor_matrix() {
+    for case in matrix() {
         let server = start(
             case,
             ServerConfig {
@@ -104,7 +104,7 @@ fn idle_fleet_outnumbers_workers_and_all_requests_complete() {
 
 #[test]
 fn idle_timeout_reaps_a_whole_fleet_under_the_reactor() {
-    for case in reactor_matrix() {
+    for case in matrix() {
         let server = start(
             case,
             ServerConfig {
@@ -133,7 +133,7 @@ fn slow_loris_clients_never_starve_the_event_loop() {
     // One worker and several byte-dripping peers: under a blocking
     // transport each loris would pin a worker; under the reactor they
     // only hold buffer state, and the fast client stays fast.
-    for case in reactor_matrix() {
+    for case in matrix() {
         let server = start(
             case,
             ServerConfig {
@@ -193,7 +193,7 @@ fn full_queue_sheds_the_request_but_keeps_the_connection() {
     // Distinct from connection-level shedding: when the *work queue* is
     // full, the reactor answers 503 on the open connection and keeps it
     // usable — the client retries on the same socket, no reconnect.
-    for case in reactor_matrix() {
+    for case in matrix() {
         let (entered_tx, entered_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel();
         let server = serve_with(
@@ -263,7 +263,7 @@ fn half_closing_client_still_receives_its_full_response() {
     // A peer that sends its request and immediately FINs its write half
     // is still owed the complete response — the reactor must not treat
     // the early EOF as an abandonment.
-    for case in reactor_matrix() {
+    for case in matrix() {
         let server = start(
             case,
             ServerConfig {
@@ -302,7 +302,7 @@ fn half_closing_client_still_receives_its_full_response() {
 
 #[test]
 fn handler_panic_is_contained_to_a_500_and_the_server_survives() {
-    for case in reactor_matrix() {
+    for case in matrix() {
         let server = serve_with(
             EPHEMERAL,
             case.apply(ServerConfig {
@@ -335,7 +335,7 @@ fn handler_panic_is_contained_to_a_500_and_the_server_survives() {
 
 #[test]
 fn pipelined_burst_completes_in_order_with_a_tiny_pool() {
-    for case in reactor_matrix() {
+    for case in matrix() {
         let server = start(
             case,
             ServerConfig {
@@ -388,7 +388,7 @@ fn pipelined_burst_completes_in_order_with_a_tiny_pool() {
 
 #[test]
 fn open_connections_gauge_rises_and_falls() {
-    for case in reactor_matrix() {
+    for case in matrix() {
         let server = start(
             case,
             ServerConfig {
@@ -462,7 +462,6 @@ fn epoll_interest_set_does_not_rescale_with_the_idle_fleet() {
         let server = start(
             TransportCase {
                 name: "shape",
-                transport: coin_server::Transport::Reactor,
                 backend,
                 shards: 1,
             },

@@ -3,9 +3,9 @@
 //! by row/byte limits, and aborted (plan cancelled, worker freed) when
 //! the client disconnects mid-stream.
 //!
-//! The byte-identity contract runs over the full transport conformance
-//! matrix and the mid-stream-abort contract over every reactor backend ×
-//! shard count (see `support/transport.rs`).
+//! The byte-identity and mid-stream-abort contracts run over the
+//! transport conformance matrix, every reactor backend × shard count
+//! (see `support/transport.rs`).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -16,13 +16,13 @@ use coin_core::fixtures::figure2_system;
 use coin_core::CoinSystem;
 use coin_rel::{Catalog, ColumnType, Schema, Table, Value};
 use coin_server::http::HttpClient;
-use coin_server::{start_server_with, Connection, ServerConfig, ServerHandle, Transport};
+use coin_server::{start_server_with, Connection, ServerConfig, ServerHandle};
 use coin_wrapper::RelationalSource;
 
 #[path = "support/transport.rs"]
 mod support;
 
-use support::{full_matrix, reactor_matrix, EPHEMERAL};
+use support::{matrix, EPHEMERAL};
 
 const BULK_SQL: &str = "SELECT big.id, big.payload FROM big";
 
@@ -53,9 +53,9 @@ fn start_bulk(rows: usize, config: ServerConfig) -> ServerHandle {
 #[test]
 fn chunked_and_whole_naive_bodies_are_byte_identical() {
     // Byte identity is a cross-transport contract: the chunked document
-    // must not vary with the writer driving it (blocking thread, poll
-    // loop, epoll loop, any shard count).
-    for case in full_matrix() {
+    // must not vary with the loop driving it (poll or epoll, any shard
+    // count).
+    for case in matrix() {
         let server = start_bulk(5_000, case.apply(ServerConfig::default()));
         let mut client = HttpClient::new(server.addr);
         let streamed = client
@@ -230,76 +230,16 @@ fn max_bytes_caps_the_result_and_flags_truncation() {
 }
 
 #[test]
-fn threaded_transport_streams_and_aborts_on_disconnect() {
-    // The thread-per-connection transport drives the same pipeline with
-    // a blocking writer: chunked responses work, and a peer disconnect
-    // surfaces as a failed write that cancels the plan and frees the
-    // pinned worker.
-    let server = start_bulk(
-        200_000,
-        ServerConfig {
-            workers: 1,
-            transport: Transport::Threaded,
-            ..ServerConfig::default()
-        },
-    );
-    let body = format!("{{\"sql\":\"{BULK_SQL}\",\"mode\":\"naive\"}}");
-    let mut raw = TcpStream::connect(server.addr).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    raw.write_all(
-        format!(
-            "POST /query HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .as_bytes(),
-    )
-    .unwrap();
-    raw.flush().unwrap();
-    let mut got = 0usize;
-    let mut buf = [0u8; 8192];
-    while got < 64 * 1024 {
-        let n = raw.read(&mut buf).unwrap();
-        assert!(n > 0, "server closed the stream before the disconnect");
-        got += n;
-    }
-    drop(raw);
-
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.metrics().streams_aborted == 0 {
-        assert!(
-            Instant::now() < deadline,
-            "abort never observed: {:?}",
-            server.metrics()
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    // The pinned worker came back: a fresh (streamed) query completes.
-    let conn = Connection::open(server.addr, "c_recv");
-    let rs = conn
-        .naive_statement()
-        .max_rows(5)
-        .execute(BULK_SQL)
-        .unwrap();
-    assert_eq!(rs.len(), 5);
-    let m = server.metrics();
-    assert_eq!(m.streams, 2);
-    assert_eq!(m.streams_aborted, 1);
-    server.stop();
-}
-
-#[test]
 fn mid_stream_disconnect_aborts_the_plan_and_frees_the_worker() {
     // One worker: if the disconnected stream's plan kept running (or its
     // producer stayed parked on the channel), the follow-up request could
     // never be served. Every reactor backend × shard count must observe
     // the disconnect the same way.
-    for case in reactor_matrix() {
+    for case in matrix() {
         let server = start_bulk(
             200_000,
             case.apply(ServerConfig {
                 workers: 1,
-                transport: Transport::Reactor,
                 ..ServerConfig::default()
             }),
         );

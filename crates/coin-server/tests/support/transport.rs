@@ -2,12 +2,12 @@
 //! (`keepalive_e2e`, `backpressure`, `reactor_e2e`, `streaming_e2e`,
 //! `fault_injection`) parameterizes over these cases so the
 //! shedding / keep-alive / timeout / mid-stream-abort contract is
-//! asserted once per (transport × backend × shard-count) combination,
-//! not just on the default.
+//! asserted once per (backend × shard-count) combination, not just on
+//! the default.
 //!
-//! `COIN_TEST_TRANSPORT` narrows a run to one case (values: `threaded`,
-//! `poll1`, `poll4`, `epoll1`, `epoll4`, `default`) — CI uses it for
-//! the epoll smoke job; locally it isolates a failing combination.
+//! `COIN_TEST_TRANSPORT` narrows a run to one case (values: `poll1`,
+//! `poll4`, `epoll1`, `epoll4`, `default`) — CI uses it for the epoll
+//! smoke job; locally it isolates a failing combination.
 //!
 //! Also home to the two flake-hardening primitives every suite routes
 //! through: [`EPHEMERAL`] (the single ephemeral-port bind address, so no
@@ -18,7 +18,7 @@
 
 use std::time::{Duration, Instant};
 
-use coin_server::{ReactorBackend, ServerConfig, Transport};
+use coin_server::{ReactorBackend, ServerConfig};
 
 /// The one bind address test listeners use: loopback, kernel-assigned
 /// ephemeral port (read back from `ServerHandle::addr`), so concurrent
@@ -29,7 +29,6 @@ pub const EPHEMERAL: &str = "127.0.0.1:0";
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TransportCase {
     pub name: &'static str,
-    pub transport: Transport,
     pub backend: ReactorBackend,
     pub shards: usize,
 }
@@ -37,80 +36,53 @@ pub struct TransportCase {
 impl TransportCase {
     /// Overlay this case's transport settings on a base config.
     pub fn apply(self, mut cfg: ServerConfig) -> ServerConfig {
-        cfg.transport = self.transport;
         cfg.reactor_backend = self.backend;
         cfg.reactor_shards = self.shards;
         cfg
     }
 }
 
-pub const THREADED: TransportCase = TransportCase {
-    name: "threaded",
-    transport: Transport::Threaded,
-    backend: ReactorBackend::Auto,
-    shards: 0,
-};
 pub const POLL1: TransportCase = TransportCase {
     name: "poll1",
-    transport: Transport::Reactor,
     backend: ReactorBackend::Poll,
     shards: 1,
 };
 pub const POLL4: TransportCase = TransportCase {
     name: "poll4",
-    transport: Transport::Reactor,
     backend: ReactorBackend::Poll,
     shards: 4,
 };
 pub const EPOLL1: TransportCase = TransportCase {
     name: "epoll1",
-    transport: Transport::Reactor,
     backend: ReactorBackend::Epoll,
     shards: 1,
 };
 pub const EPOLL4: TransportCase = TransportCase {
     name: "epoll4",
-    transport: Transport::Reactor,
     backend: ReactorBackend::Epoll,
     shards: 4,
 };
-/// Whatever `ServerConfig::default()` resolves to on this host.
-pub const DEFAULT: TransportCase = TransportCase {
-    name: "default",
-    transport: Transport::Reactor,
-    backend: ReactorBackend::Auto,
-    shards: 0,
-};
-
-/// Every contract-bearing combination, including the threaded
-/// transport. Use for suites whose assertions are transport-agnostic.
-pub fn full_matrix() -> Vec<TransportCase> {
-    filter(vec![THREADED, POLL1, POLL4, EPOLL1, EPOLL4])
+/// Every contract-bearing combination (backend × shard count), narrowed
+/// by `COIN_TEST_TRANSPORT` when it is set.
+pub fn matrix() -> Vec<TransportCase> {
+    select(std::env::var("COIN_TEST_TRANSPORT").ok().as_deref())
 }
 
-/// The reactor-only combinations (backend × shard count). Use for
-/// suites that assert reactor-specific semantics (request-level
-/// shedding, `reactor_wakeups`, the open-connection gauge exceeding the
-/// worker pool).
-pub fn reactor_matrix() -> Vec<TransportCase> {
-    filter(vec![POLL1, POLL4, EPOLL1, EPOLL4])
-}
-
-/// Honor `COIN_TEST_TRANSPORT`: run the whole matrix normally, one
-/// named case when set. Unknown names fail loudly rather than silently
-/// running nothing.
-fn filter(cases: Vec<TransportCase>) -> Vec<TransportCase> {
-    let Ok(wanted) = std::env::var("COIN_TEST_TRANSPORT") else {
+/// The matrix narrowed to the case named `wanted` (all of it when
+/// `None`). Unknown names — including the removed `threaded` — fail
+/// loudly rather than silently running nothing.
+pub fn select(wanted: Option<&str>) -> Vec<TransportCase> {
+    let cases = vec![POLL1, POLL4, EPOLL1, EPOLL4];
+    let Some(wanted) = wanted else {
         return cases;
     };
-    let all = [THREADED, POLL1, POLL4, EPOLL1, EPOLL4, DEFAULT];
     assert!(
-        all.iter().any(|c| c.name == wanted),
+        wanted == "default" || cases.iter().any(|c| c.name == wanted),
         "COIN_TEST_TRANSPORT={wanted} names no transport case \
-         (valid: threaded, poll1, poll4, epoll1, epoll4, default)"
+         (valid: poll1, poll4, epoll1, epoll4, default)"
     );
-    // A case outside this suite's matrix filters to an empty run — the
-    // suite simply has nothing to assert under that transport.
+    // `default` empties every matrix loop, leaving only the tests that
+    // run on `ServerConfig::default()`.
     cases.into_iter().filter(|c| c.name == wanted).collect()
 }
 
