@@ -12,6 +12,17 @@
 //! * **binding patterns** — sources requiring bound columns (web wrappers)
 //!   are accessed *dependently*: per distinct value combination from
 //!   already-staged results;
+//! * **derived literal bindings** — the WHERE's top-level `col = col`
+//!   conjuncts close into equivalence classes, and every column of a class
+//!   that a conjunct fixes to a string or boolean literal is fixed to it
+//!   too (`r1.currency = 'JPY' AND r3.fromCur = r1.currency` gives
+//!   `r3.fromCur = 'JPY'`). A derived predicate binds and is pushed like a
+//!   written one, so a lookup the query already fixes is fetched
+//!   independently, in the first wave, rather than per value of another
+//!   binding; the local WHERE keeps the written conjuncts only. Numeric
+//!   literals are never propagated: `Int` and `Float` compare through
+//!   `f64`, where `=` is not transitive (`Int(2^53) = Float(2^53) =
+//!   Int(2^53 + 1)`, yet `Int(2^53) ≠ Int(2^53 + 1)`);
 //! * **ordering** — steps run dependencies-first, cheapest-first, and the
 //!   local join order follows ascending estimated cardinality.
 //!
@@ -23,7 +34,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use coin_sql::{BinOp, ColumnRef, Expr, Select, SelectItem, TableRef};
 
 use crate::dictionary::Dictionary;
-use crate::plan::{FetchStep, ParamBinding, Plan, PlanError};
+use crate::plan::{DerivedLiteral, FetchStep, ParamBinding, Plan, PlanError};
 
 /// Optimizer switches (all on by default). `PartialEq` lets the system
 /// detect a semantically-unchanged reconfiguration and skip plan
@@ -81,16 +92,21 @@ fn selectivity(e: &Expr) -> f64 {
     }
 }
 
-/// Does this equality bind `col` of `binding` to a literal?
-fn literal_binding(e: &Expr, binding: &str) -> Option<(String, Expr)> {
+/// Does this equality fix a column to a literal?
+fn column_literal(e: &Expr) -> Option<(&ColumnRef, &Expr)> {
     let Expr::Bin(l, BinOp::Eq, r) = e else {
         return None;
     };
-    let (col, lit) = match (l.as_ref(), r.as_ref()) {
-        (Expr::Column(c), lit) if is_literal(lit) => (c, lit),
-        (lit, Expr::Column(c)) if is_literal(lit) => (c, lit),
-        _ => return None,
-    };
+    match (l.as_ref(), r.as_ref()) {
+        (Expr::Column(c), lit) if is_literal(lit) => Some((c, lit)),
+        (lit, Expr::Column(c)) if is_literal(lit) => Some((c, lit)),
+        _ => None,
+    }
+}
+
+/// Does this equality bind `col` of `binding` to a literal?
+fn literal_binding(e: &Expr, binding: &str) -> Option<(String, Expr)> {
+    let (col, lit) = column_literal(e)?;
     if col.qualifier.as_deref() == Some(binding) {
         Some((col.column.clone(), lit.clone()))
     } else {
@@ -103,6 +119,67 @@ fn is_literal(e: &Expr) -> bool {
         e,
         Expr::Int(_) | Expr::Float(_) | Expr::Str(_) | Expr::Bool(_)
     )
+}
+
+/// The literal bindings the top-level `conjuncts` imply but do not write:
+/// `col = col` conjuncts join columns into equivalence classes, and a
+/// string or boolean literal that a conjunct fixes one column of a class to
+/// fixes every other column of that class. Equality on those literals is
+/// transitive (`Value::sql_cmp` compares them only with their own kind), so
+/// each derived predicate holds on every row the written ones keep.
+fn derive_literals(conjuncts: &[Expr]) -> Vec<DerivedLiteral> {
+    // The qualified columns met so far, and a union-find forest over them.
+    let mut columns: Vec<&ColumnRef> = Vec::new();
+    let mut class: Vec<usize> = Vec::new();
+    fn id<'e>(c: &'e ColumnRef, columns: &mut Vec<&'e ColumnRef>, class: &mut Vec<usize>) -> usize {
+        columns.iter().position(|k| *k == c).unwrap_or_else(|| {
+            columns.push(c);
+            class.push(class.len());
+            class.len() - 1
+        })
+    }
+    fn root(class: &[usize], mut i: usize) -> usize {
+        while class[i] != i {
+            i = class[i];
+        }
+        i
+    }
+    let mut fixed: Vec<(usize, &Expr)> = Vec::new();
+    for c in conjuncts {
+        if let Expr::Bin(l, BinOp::Eq, r) = c {
+            if let (Expr::Column(a), Expr::Column(b)) = (l.as_ref(), r.as_ref()) {
+                if a.qualifier.is_some() && b.qualifier.is_some() {
+                    let (a, b) = (
+                        id(a, &mut columns, &mut class),
+                        id(b, &mut columns, &mut class),
+                    );
+                    let (a, b) = (root(&class, a), root(&class, b));
+                    class[a] = b;
+                }
+                continue;
+            }
+        }
+        if let Some((col, lit @ (Expr::Str(_) | Expr::Bool(_)))) = column_literal(c) {
+            if col.qualifier.is_some() {
+                fixed.push((id(col, &mut columns, &mut class), lit));
+            }
+        }
+    }
+    let mut derived: Vec<DerivedLiteral> = Vec::new();
+    for &(from, literal) in &fixed {
+        for (to, column) in columns.iter().enumerate() {
+            let known = fixed.iter().any(|&(c, l)| c == to && l == literal)
+                || (derived.iter()).any(|d| d.column == **column && d.literal == *literal);
+            if to != from && !known && root(&class, to) == root(&class, from) {
+                derived.push(DerivedLiteral {
+                    column: (*column).clone(),
+                    literal: literal.clone(),
+                    via: columns[from].clone(),
+                });
+            }
+        }
+    }
+    derived
 }
 
 /// Does this equality link `col` of `binding` to a column of another
@@ -248,6 +325,15 @@ impl Planner {
                 if let Some(info) = infos.iter_mut().find(|i| i.binding == q) {
                     info.local_preds.push(c.clone());
                 }
+            }
+        }
+        // Literal bindings implied through join equalities bind and push
+        // like written ones; the local WHERE stays as written.
+        let derived = derive_literals(&conjuncts);
+        for d in &derived {
+            let q = d.column.qualifier.as_deref();
+            if let Some(info) = infos.iter_mut().find(|i| Some(i.binding.as_str()) == q) {
+                info.local_preds.push(d.predicate());
             }
         }
 
@@ -406,6 +492,7 @@ impl Planner {
             est_cost,
             programs,
             const_empty,
+            derived,
         })
     }
 
@@ -524,5 +611,188 @@ fn strip_qualifier(e: &Expr, binding: &str) -> Expr {
             negated: *negated,
         },
         other => other.clone(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use coin_rel::{Catalog, ColumnType, Schema, Table, Value};
+    use coin_wrapper::{Capabilities, RelationalSource};
+
+    /// Source `s<table>` holding `table(col)` with `rows`; when `bound`, the
+    /// source insists that `col` is bound, as a web wrapper does.
+    fn source(
+        table: &str,
+        col: &str,
+        ty: ColumnType,
+        rows: Vec<Value>,
+        bound: bool,
+    ) -> RelationalSource {
+        let t = one_column(table, col, ty, rows);
+        let mut source = RelationalSource::new(&format!("s{table}"), Catalog::new().with_table(t));
+        if bound {
+            let mut caps = Capabilities {
+                pushdown_select: true,
+                ..Capabilities::default()
+            };
+            caps.bound_columns
+                .insert(table.to_owned(), vec![col.to_owned()]);
+            source = source.with_capabilities(caps);
+        }
+        source
+    }
+
+    fn one_column(table: &str, col: &str, ty: ColumnType, rows: Vec<Value>) -> Table {
+        Table::from_rows(
+            table,
+            Schema::of(&[(col, ty)]),
+            rows.into_iter().map(|v| vec![v]).collect(),
+        )
+    }
+
+    fn strs(values: &[&str]) -> Vec<Value> {
+        values.iter().map(|v| Value::str(v)).collect()
+    }
+
+    fn plan(planner: &Planner, sql: &str) -> Plan {
+        let q = coin_sql::parse_query(sql).unwrap();
+        planner.plan_select(q.branches()[0]).unwrap()
+    }
+
+    fn remote_of(plan: &Plan, binding: &str) -> String {
+        let step = plan.steps.iter().find(|s| s.binding() == binding).unwrap();
+        step.remote().to_string()
+    }
+
+    fn derived(plan: &Plan) -> Vec<String> {
+        (plan.derived.iter())
+            .map(|d| format!("{} (via {})", d.predicate(), d.via))
+            .collect()
+    }
+
+    #[test]
+    fn a_chain_of_equalities_binds_every_column_to_the_literal() {
+        let mut dict = Dictionary::new();
+        dict.register_source(source("t1", "x", ColumnType::Str, strs(&["k", "m"]), true))
+            .unwrap();
+        dict.register_source(source("t2", "y", ColumnType::Str, strs(&["k", "n"]), true))
+            .unwrap();
+        dict.register_source(source("t3", "z", ColumnType::Str, strs(&["k", "m"]), false))
+            .unwrap();
+        let planner = Planner::new(dict);
+        let sql = "SELECT a.x, b.y, c.z FROM t1 a, t2 b, t3 c \
+                   WHERE a.x = b.y AND b.y = c.z AND c.z = 'k'";
+        let plan = plan(&planner, sql);
+        assert_eq!(
+            derived(&plan),
+            ["a.x = 'k' (via c.z)", "b.y = 'k' (via c.z)"]
+        );
+        // Both required-bound sources are bound by the derived literal: no
+        // fetch waits for another.
+        assert!(plan
+            .steps
+            .iter()
+            .all(|s| matches!(s, FetchStep::Independent { .. })));
+        assert_eq!(remote_of(&plan, "a"), "SELECT x FROM t1 WHERE x = 'k'");
+        assert_eq!(remote_of(&plan, "b"), "SELECT y FROM t2 WHERE y = 'k'");
+        assert_eq!(remote_of(&plan, "c"), "SELECT z FROM t3 WHERE z = 'k'");
+        // The local query keeps the WHERE as written.
+        assert_eq!(
+            plan.local.where_clause.as_ref().unwrap().to_string(),
+            "a.x = b.y AND b.y = c.z AND c.z = 'k'"
+        );
+        let (t, _) = crate::execute_plan(&plan, &planner.dictionary).unwrap();
+        assert_eq!(t.rows, vec![strs(&["k", "k", "k"])]);
+    }
+
+    #[test]
+    fn conflicting_literals_push_both_and_answer_empty() {
+        let mut dict = Dictionary::new();
+        dict.register_source(source(
+            "t1",
+            "x",
+            ColumnType::Str,
+            strs(&["JPY", "USD"]),
+            false,
+        ))
+        .unwrap();
+        dict.register_source(source(
+            "t2",
+            "y",
+            ColumnType::Str,
+            strs(&["JPY", "USD"]),
+            true,
+        ))
+        .unwrap();
+        let planner = Planner::new(dict);
+        let plan = plan(
+            &planner,
+            "SELECT a.x FROM t1 a, t2 b WHERE a.x = 'JPY' AND b.y = a.x AND b.y = 'USD'",
+        );
+        assert_eq!(
+            derived(&plan),
+            ["b.y = 'JPY' (via a.x)", "a.x = 'USD' (via b.y)"]
+        );
+        assert_eq!(
+            remote_of(&plan, "a"),
+            "SELECT x FROM t1 WHERE x = 'JPY' AND x = 'USD'"
+        );
+        assert_eq!(
+            remote_of(&plan, "b"),
+            "SELECT y FROM t2 WHERE y = 'USD' AND y = 'JPY'"
+        );
+        let (t, stats) = crate::execute_plan(&plan, &planner.dictionary).unwrap();
+        assert!(t.rows.is_empty());
+        assert_eq!(stats.rows_shipped, 0);
+    }
+
+    #[test]
+    fn an_equality_inside_or_derives_nothing() {
+        let mut dict = Dictionary::new();
+        dict.register_source(source("t1", "x", ColumnType::Str, strs(&["k", "m"]), false))
+            .unwrap();
+        dict.register_source(source("t2", "y", ColumnType::Str, strs(&["k", "m"]), false))
+            .unwrap();
+        let planner = Planner::new(dict);
+        for sql in [
+            "SELECT a.x FROM t1 a, t2 b WHERE (a.x = b.y OR a.x = 'm') AND b.y = 'k'",
+            "SELECT a.x FROM t1 a, t2 b WHERE a.x = b.y AND (b.y = 'k' OR b.y = 'm')",
+        ] {
+            let plan = plan(&planner, sql);
+            assert!(plan.derived.is_empty(), "{sql}: {:?}", derived(&plan));
+            assert_eq!(remote_of(&plan, "a"), "SELECT x FROM t1", "{sql}");
+            assert!(!plan.explain().contains("derived:"), "{sql}");
+        }
+    }
+
+    #[test]
+    fn numeric_literals_are_never_propagated() {
+        // 2^53 as a float equals both 2^53 and 2^53 + 1 as integers, which
+        // differ from each other: `=` across Int and Float is not transitive.
+        let two_53 = 1_i64 << 53;
+        let ns = vec![Value::Int(two_53), Value::Int(two_53 + 1)];
+        let ms = vec![Value::Float(two_53 as f64), Value::Int(two_53 + 1)];
+        let merged = Catalog::new()
+            .with_table(one_column("t1", "n", ColumnType::Int, ns.clone()))
+            .with_table(one_column("t2", "m", ColumnType::Any, ms.clone()));
+        let mut dict = Dictionary::new();
+        dict.register_source(source("t1", "n", ColumnType::Int, ns, false))
+            .unwrap();
+        dict.register_source(source("t2", "m", ColumnType::Any, ms, false))
+            .unwrap();
+        let planner = Planner::new(dict);
+        for literal in [format!("{two_53}"), format!("{two_53}.0")] {
+            let sql =
+                format!("SELECT a.n, b.m FROM t1 a, t2 b WHERE a.n = b.m AND b.m = {literal}");
+            let plan = plan(&planner, &sql);
+            assert!(plan.derived.is_empty(), "{sql}: {:?}", derived(&plan));
+            assert_eq!(remote_of(&plan, "a"), "SELECT n FROM t1", "{sql}");
+            // `b.m = 2^53` keeps Float(2^53), which both a-rows equal; a
+            // derived `a.n = 2^53` would drop a = 2^53 + 1.
+            let (t, _) = crate::execute_plan(&plan, &planner.dictionary).unwrap();
+            let local = coin_rel::execute_sql(&sql, &merged).unwrap();
+            assert_eq!(t.rows, local.rows, "{sql}");
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! whose execution the multi-database access engine controls, "executing
 //! the necessary local operations (e.g. joins across sources)" (paper §2).
 
-use coin_sql::Select;
+use coin_sql::{BinOp, ColumnRef, Expr, Select};
 
 /// A parameter of a dependent fetch: the remote column that must be bound,
 /// and where its values come from (a previously staged binding/column).
@@ -15,6 +15,28 @@ pub struct ParamBinding {
     pub column: String,
     pub from_binding: String,
     pub from_column: String,
+}
+
+/// A literal binding the planner derived through join equalities:
+/// `column = literal` holds on every row the WHERE keeps, because the WHERE
+/// equates `column` (directly or through a chain) with `via`, which one of
+/// its conjuncts fixes to `literal`.
+#[derive(Debug, Clone)]
+pub struct DerivedLiteral {
+    pub column: ColumnRef,
+    pub literal: Expr,
+    pub via: ColumnRef,
+}
+
+impl DerivedLiteral {
+    /// The derived predicate, `column = literal`.
+    pub fn predicate(&self) -> Expr {
+        Expr::Bin(
+            Box::new(Expr::Column(self.column.clone())),
+            BinOp::Eq,
+            Box::new(self.literal.clone()),
+        )
+    }
 }
 
 /// One remote access.
@@ -135,6 +157,9 @@ pub struct Plan {
     /// provably yields no rows, so execution stages empty tables and issues
     /// zero remote queries.
     pub const_empty: bool,
+    /// Literal bindings derived through join equalities. They bind and are
+    /// pushed like written predicates; the local query does not carry them.
+    pub derived: Vec<DerivedLiteral>,
 }
 
 impl Plan {
@@ -144,6 +169,9 @@ impl Plan {
         out.push_str(&format!("PLAN (estimated cost {:.1})\n", self.est_cost));
         if self.const_empty {
             out.push_str("  const-empty: WHERE folds to FALSE/NULL — no remote fetches issued\n");
+        }
+        for d in &self.derived {
+            out.push_str(&format!("  derived: {} (via {})\n", d.predicate(), d.via));
         }
         for (i, s) in self.steps.iter().enumerate() {
             match s {

@@ -72,13 +72,25 @@ fn explain_names_the_shared_fetches() {
         ),
         "{explain}"
     );
+    // Branch 1 fixes r1.currency to 'JPY', so its rate lookup is bound by
+    // that literal and fetched on its own; branch 3's still waits for r1.
+    // The two no longer send the same query, so forex shares nothing.
+    assert!(
+        explain.contains("derived: r3.fromCur = 'JPY' (via r1.currency)"),
+        "{explain}"
+    );
     assert!(
         explain.contains(
-            "shared: source forex answers branch 1 step 2, branch 3 step 2 \
-             with one fetch per distinct (fromCur)"
+            "fetch [r3] from source forex (est 10 rows, cost 110.0)\n    \
+             SELECT fromCur, rate, toCur FROM r3 WHERE toCur = 'USD' AND fromCur = 'JPY'"
         ),
         "{explain}"
     );
+    assert!(
+        explain.contains("dependent fetch [r3] from source forex per (fromCur := r1.currency)"),
+        "{explain}"
+    );
+    assert!(!explain.contains("shared: source forex"), "{explain}");
     // The three r1 fetches differ in their pushed-down predicate.
     assert!(!explain.contains("shared: source worldscope"), "{explain}");
 }
@@ -146,16 +158,18 @@ fn waiting_sources_overlap_after_one_warm_up() {
     let wait = planner.dictionary.observed_wait("worldscope").unwrap();
     assert!(wait > Duration::from_millis(1), "{wait:?}");
 
-    // Now worldscope is known to wait, so wave {r1 ×3, r2} overlaps and only
-    // wave {r3[JPY]} follows it: two latencies, where one fetch after
-    // another takes five and one branch after another took seven.
+    // Now the sources are known to wait, so wave {r1 ×3, r2, r3[JPY]}
+    // overlaps: the query already fixes the rate lookup of branch 1, so
+    // forex is asked in wave 0 too, and the wave after it (branch 3's
+    // lookup, for no currency) sends nothing. One latency, where one fetch
+    // after another takes five and one branch after another took seven.
     let started = Instant::now();
     let (table, stats) = planner.execute_planned(&plan).unwrap();
     let took = started.elapsed();
     assert_eq!(table.rows, ntt());
     assert_eq!(stats.remote_queries, 5);
-    assert!(took >= 2 * LATENCY, "{took:?}");
-    assert!(took < 3 * LATENCY, "{took:?}");
+    assert!(took >= LATENCY, "{took:?}");
+    assert!(took < 2 * LATENCY, "{took:?}");
     let here = std::thread::current().id();
     assert!(probes.all().any(|p| p.threads().iter().any(|t| *t != here)));
     assert!(probes.all().all(|p| p.in_flight.load(SeqCst) == 0));
@@ -195,7 +209,8 @@ fn cpu_busy_sources_never_fan_out() {
 fn cancellation_is_seen_between_waves() {
     let _quiet = one_at_a_time();
     let token = CancelToken::new();
-    // Every wave-0 fetch cancels; `forex` is only asked in wave 1.
+    // The wave-0 fetch of r1 cancels; `forex` is only asked in wave 1, per
+    // currency r1 ships.
     let (dict, probes) =
         support::injected_figure2_with(Latency::None, |injected| match injected.name() {
             "forex" => injected,
@@ -203,7 +218,7 @@ fn cancellation_is_seen_between_waves() {
         });
     let planner = Planner::new(dict);
     let plan = planner
-        .plan_query(&coin_sql::parse_query(MEDIATED_Q1).unwrap())
+        .plan_query(&coin_sql::parse_query(DEPENDENT_RATES).unwrap())
         .unwrap();
     let calls =
         || ["worldscope", "disclosure", "forex"].map(|source| probes.of(source).calls.load(SeqCst));
@@ -212,14 +227,18 @@ fn cancellation_is_seen_between_waves() {
         result.err(),
         Some(PlanError::Engine(EngineError::Exec(ExecError::Cancelled)))
     ));
-    // worldscope ×3 and disclosure ×1 ran; the rate lookup was never sent.
-    assert_eq!(calls(), [3, 1, 0]);
+    // worldscope ran; the rate lookups were never sent.
+    assert_eq!(calls(), [1, 0, 0]);
 
     // A token cancelled beforehand sends nothing at all.
     let result = planner.execute_planned_stream(&plan, Some(token));
     assert!(result.is_err());
-    assert_eq!(calls(), [3, 1, 0]);
+    assert_eq!(calls(), [1, 0, 0]);
 }
+
+/// A rate lookup that nothing but r1's rows can bind: a real second wave.
+const DEPENDENT_RATES: &str = "SELECT r1.cname, r3.rate FROM r1, r3 \
+    WHERE r3.fromCur = r1.currency AND r3.toCur = 'USD'";
 
 /// Q1 over sources 5 ms away — but for `disclosure`, which answers (or
 /// fails) at once — executed often enough that its first wave fans out.
@@ -248,10 +267,10 @@ fn q1_fanning_out() -> (Planner, QueryPlan, Probes) {
 fn the_first_failure_in_plan_order_is_reported_and_nothing_is_left_running() {
     let _quiet = one_at_a_time();
     let (planner, plan, probes) = q1_fanning_out();
-    // Wave 0 is {r1[JPY], r2, r1[USD], r1[other]}. disclosure fails at
-    // once, on a helper, 5 ms before worldscope's first fetch fails on the
-    // caller: the later failure is the first in plan order, and the one
-    // reported — as if the jobs had run one after another.
+    // Wave 0 is {r1[JPY], r2, r3[JPY], r1[USD], r1[other]}. disclosure
+    // fails at once, on a helper, 5 ms before worldscope's first fetch fails
+    // on the caller: the later failure is the first in plan order, and the
+    // one reported — as if the jobs had run one after another.
     probes.of("worldscope").fail.store(true, SeqCst);
     probes.of("disclosure").fail.store(true, SeqCst);
     let forex_before = probes.of("forex").calls.load(SeqCst);
@@ -260,7 +279,9 @@ fn the_first_failure_in_plan_order_is_reported_and_nothing_is_left_running() {
         other => panic!("{other:?}"),
     }
     assert!(probes.all().all(|p| p.in_flight.load(SeqCst) == 0));
-    assert_eq!(probes.of("forex").calls.load(SeqCst), forex_before);
+    // The rate lookup is job 2: a helper may have begun it before
+    // disclosure's failure was seen, and nothing sends it again.
+    assert!(probes.of("forex").calls.load(SeqCst) - forex_before <= 1);
 
     // Only the later job fails: that is the error.
     probes.of("worldscope").fail.store(false, SeqCst);
@@ -287,4 +308,92 @@ fn a_panic_on_a_helper_thread_continues_on_the_caller() {
 
     probes.of("disclosure").panic.store(false, SeqCst);
     assert_eq!(planner.execute_planned(&plan).unwrap().0.rows, ntt());
+}
+
+/// Two branches that each look a rate up per currency of their r1 rows:
+/// one shared dependent fetch in wave 1, one remote query per distinct
+/// currency across both branches.
+const SHARED_RATES: &str = "\
+    SELECT r1.cname, r3.rate FROM r1, r3 \
+    WHERE r1.cname = 'IBM' AND r3.fromCur = r1.currency AND r3.toCur = 'USD' \
+    UNION \
+    SELECT r1.cname, r3.rate FROM r1, r3 \
+    WHERE r1.revenue > 0 AND r3.fromCur = r1.currency AND r3.toCur = 'USD'";
+
+#[test]
+fn dependent_fetches_of_two_branches_share_one_fetch_per_distinct_value() {
+    let _quiet = one_at_a_time();
+    let (dict, probes) = injected_figure2(Latency::None);
+    let planner = Planner::new(dict);
+    let plan = planner
+        .plan_query(&coin_sql::parse_query(SHARED_RATES).unwrap())
+        .unwrap();
+    let explain = plan.explain();
+    assert!(
+        explain.contains(
+            "shared: source forex answers branch 1 step 1, branch 2 step 1 \
+             with one fetch per distinct (fromCur)\n    \
+             SELECT fromCur, rate, toCur FROM r3 WHERE toCur = 'USD'"
+        ),
+        "{explain}"
+    );
+    assert!(!explain.contains("derived:"), "{explain}");
+    // Branch 1 asks for USD, branch 2 for USD and JPY: two rate lookups,
+    // not three. forex knows no USD-to-USD rate, so only NTT answers.
+    for execution in 1..=2 {
+        let (table, stats) = planner.execute_planned(&plan).unwrap();
+        assert_eq!(
+            table.rows,
+            vec![vec![Value::str("NTT"), Value::Float(0.0096)]]
+        );
+        assert_eq!(stats.remote_queries, 4);
+        assert_eq!(probes.of("worldscope").calls.load(SeqCst), 2 * execution);
+        assert_eq!(probes.of("forex").calls.load(SeqCst), 2 * execution);
+    }
+}
+
+/// Wave 0 is {r1, r2}; wave 1 looks a rate up per currency of r1's rows.
+const RATES_OF_DISCLOSED: &str = "SELECT r1.cname, r3.rate FROM r1, r2, r3 \
+    WHERE r1.cname = r2.cname AND r3.fromCur = r1.currency AND r3.toCur = 'USD'";
+
+#[test]
+fn a_failing_wave_sends_nothing_after_it() {
+    let _quiet = one_at_a_time();
+    let slow = Latency::Sleep(Duration::from_millis(5));
+    let (dict, probes) = injected_figure2(slow);
+    let planner = Planner::new(dict);
+    let plan = planner
+        .plan_query(&coin_sql::parse_query(RATES_OF_DISCLOSED).unwrap())
+        .unwrap();
+    let forex = probes.of("forex");
+    // When disclosure fails, r1's currencies are in hand and could feed
+    // wave 1 all the same: not one rate lookup may be sent.
+    let each_fails = || {
+        for source in ["worldscope", "disclosure"] {
+            probes.of(source).fail.store(true, SeqCst);
+            let before = forex.calls.load(SeqCst);
+            match planner.execute_planned(&plan) {
+                Err(PlanError::Source(SourceError::Unsupported(m))) => {
+                    assert_eq!(m, format!("{source} injected"))
+                }
+                other => panic!("{other:?}"),
+            }
+            assert!(probes.all().all(|p| p.in_flight.load(SeqCst) == 0));
+            assert_eq!(forex.calls.load(SeqCst), before, "{source}");
+            probes.of(source).fail.store(false, SeqCst);
+        }
+    };
+    // Nothing is known about the sources yet: one fetch after another.
+    each_fails();
+    // Once they are known to wait, wave 0's two fetches overlap.
+    for _ in 0..3 {
+        planner.execute_planned(&plan).unwrap();
+    }
+    let here = std::thread::current().id();
+    assert!(probes.all().any(|p| p.threads().iter().any(|t| *t != here)));
+    each_fails();
+    assert_eq!(
+        planner.execute_planned(&plan).unwrap().0.rows,
+        [[Value::str("NTT"), Value::Float(0.0096)]]
+    );
 }

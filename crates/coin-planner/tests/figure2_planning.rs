@@ -156,3 +156,32 @@ fn source_qualified_tables() {
         .unwrap();
     assert_eq!(t.rows, vec![vec![Value::str("IBM")]]);
 }
+
+#[test]
+fn a_rate_lookup_the_query_fixes_is_fetched_independently_and_explained() {
+    // r1.currency = 'JPY' and r3.fromCur = r1.currency fix fromCur too: the
+    // rate page is fetched once, without waiting for r1, and explain says
+    // where the binding came from.
+    let p = Planner::new(figure2_dictionary(|source| source));
+    let sql = "SELECT r1.cname, r3.rate FROM r1, r3 \
+               WHERE r1.currency = 'JPY' AND r3.fromCur = r1.currency AND r3.toCur = 'USD'";
+    let q = coin_sql::parse_query(sql).unwrap();
+    let plan = p.plan_select(q.branches()[0]).unwrap();
+    let explain = plan.explain();
+    assert!(
+        explain.contains("\n  derived: r3.fromCur = 'JPY' (via r1.currency)\n"),
+        "{explain}"
+    );
+    let r3 = plan.steps.iter().find(|s| s.binding() == "r3").unwrap();
+    assert!(matches!(r3, FetchStep::Independent { .. }), "{explain}");
+    assert_eq!(
+        r3.remote().to_string(),
+        "SELECT fromCur, rate, toCur FROM r3 WHERE toCur = 'USD' AND fromCur = 'JPY'"
+    );
+    // The local query is the query as written.
+    assert!(!plan.local.to_string().contains("r3.fromCur = 'JPY'"));
+    let (t, stats) = execute_plan(&plan, &p.dictionary).unwrap();
+    assert_eq!(t.rows, vec![vec![Value::str("NTT"), Value::Float(0.0096)]]);
+    assert_eq!(stats.remote_queries, 2);
+    assert_eq!(stats.rows_shipped, 2);
+}

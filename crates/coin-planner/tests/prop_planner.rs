@@ -7,7 +7,7 @@
 use coin_planner::{Dictionary, Planner, PlannerConfig};
 use coin_rel::tempstore::cmp_rows;
 use coin_rel::{Catalog, ColumnType, Row, Schema, Table, Value};
-use coin_wrapper::RelationalSource;
+use coin_wrapper::{Capabilities, RelationalSource};
 use proptest::prelude::*;
 
 fn table(name: &str, rows: &[(i64, i64)]) -> Table {
@@ -18,6 +18,43 @@ fn table(name: &str, rows: &[(i64, i64)]) -> Table {
             .map(|(k, v)| vec![Value::Int(*k), Value::Int(*v)])
             .collect(),
     )
+}
+
+/// Join keys: three that occur and one that may not; a literal may name it.
+const KEYS: [&str; 4] = ["a", "b", "c", "z"];
+
+/// `name(k STR, f BOOL, v INT)` from (key index, flag, v): key index 3 and
+/// flag 2 stand for NULL.
+fn keyed_table(name: &str, rows: &[(usize, u8, i64)]) -> Table {
+    Table::from_rows(
+        name,
+        Schema::of(&[
+            ("k", ColumnType::Str),
+            ("f", ColumnType::Bool),
+            ("v", ColumnType::Int),
+        ]),
+        rows.iter()
+            .map(|&(k, f, v)| {
+                vec![
+                    if k < 3 {
+                        Value::str(KEYS[k])
+                    } else {
+                        Value::Null
+                    },
+                    if f < 2 {
+                        Value::Bool(f == 1)
+                    } else {
+                        Value::Null
+                    },
+                    Value::Int(v),
+                ]
+            })
+            .collect(),
+    )
+}
+
+fn key_rows() -> impl Strategy<Value = Vec<(usize, u8, i64)>> {
+    prop::collection::vec((0usize..4, 0u8..3, -20i64..20), 0..10)
 }
 
 fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
@@ -106,5 +143,79 @@ proptest! {
         let loc = coin_rel::execute_sql(sql, &local).unwrap();
         prop_assert_eq!(sorted(dist.rows), sorted(loc.rows));
         prop_assert_eq!(stats.remote_queries, 3);
+    }
+
+    /// Literal bindings derived through string- and boolean-keyed join
+    /// equalities never change an answer, whether the source they reach can
+    /// evaluate predicates, cannot, or insists the column is bound.
+    #[test]
+    fn derived_literal_bindings_equal_local(
+        rows in (key_rows(), key_rows(), key_rows()),
+        literals in (0usize..4, 0usize..4, any::<bool>(), -20i64..20),
+        switches in (any::<bool>(), any::<bool>(), any::<bool>()),
+    ) {
+        let (ta, tb, tc) = rows;
+        let (lit, other, flag, threshold) = literals;
+        let (lit, other) = (KEYS[lit], KEYS[other]);
+        let (capable, pushdown, reorder) = switches;
+        let (t1, t2, t3) = (keyed_table("t1", &ta), keyed_table("t2", &tb), keyed_table("t3", &tc));
+        let restricted = |bound: &[&str]| Capabilities {
+            pushdown_select: capable,
+            bound_columns: [("t3".to_owned(), bound.iter().map(|c| c.to_string()).collect())]
+                .into_iter()
+                .collect(),
+            ..Capabilities::default()
+        };
+        let mut dict = Dictionary::new();
+        dict.register_source(RelationalSource::new("alpha", Catalog::new().with_table(t1.clone())))
+            .unwrap();
+        dict.register_source(
+            RelationalSource::new("beta", Catalog::new().with_table(t2.clone()))
+                .with_capabilities(restricted(&[])),
+        )
+        .unwrap();
+        // gamma answers only when t3.k is bound, by a literal or per value.
+        dict.register_source(
+            RelationalSource::new("gamma", Catalog::new().with_table(t3.clone()))
+                .with_capabilities(restricted(&["k"])),
+        )
+        .unwrap();
+        let planner = Planner::with_config(dict, PlannerConfig {
+            pushdown_select: pushdown,
+            pushdown_project: pushdown,
+            reorder,
+        });
+        let local = Catalog::new().with_table(t1).with_table(t2).with_table(t3);
+
+        for sql in [
+            format!("SELECT a.k, a.v, b.v FROM t1 a, t2 b WHERE a.k = b.k AND b.k = '{lit}'"),
+            format!("SELECT a.v, c.v FROM t1 a, t3 c WHERE c.k = a.k AND a.k = '{lit}'"),
+            format!("SELECT a.v, c.v FROM t1 a, t3 c WHERE '{lit}' = a.k AND a.k = c.k AND a.v > {threshold}"),
+            format!(
+                "SELECT a.k, b.v, c.v FROM t1 a, t2 b, t3 c \
+                 WHERE a.k = b.k AND c.k = b.k AND a.k = '{lit}' AND b.v > {threshold}"
+            ),
+            format!(
+                "SELECT a.k, b.k, c.v FROM t1 a, t2 b, t3 c \
+                 WHERE a.k = '{lit}' AND b.k = a.k AND b.k = '{other}' AND c.k = b.k"
+            ),
+            format!(
+                "SELECT a.k, c.v FROM t1 a, t3 c \
+                 WHERE c.k = a.k AND (a.k = '{lit}' OR a.v > {threshold})"
+            ),
+            format!("SELECT a.v, b.v FROM t1 a, t2 b WHERE a.f = b.f AND b.f = {flag} AND a.k = b.k"),
+            format!(
+                "SELECT COUNT(*), SUM(c.v) FROM t1 a, t2 b, t3 c \
+                 WHERE a.f = {flag} AND b.f = a.f AND c.k = a.k AND a.k = '{lit}'"
+            ),
+        ] {
+            let (dist, _) = planner.run_sql(&sql).unwrap();
+            let loc = coin_rel::execute_sql(&sql, &local).unwrap();
+            prop_assert_eq!(
+                sorted(dist.rows.clone()),
+                sorted(loc.rows.clone()),
+                "query {} (capable={}, pushdown={}, reorder={})", sql, capable, pushdown, reorder
+            );
+        }
     }
 }

@@ -326,15 +326,19 @@ pub fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Append a JSON number: integral doubles print without a fraction. The
+/// Append a JSON number: integral doubles print without a fraction, and
+/// infinities and NaN, which JSON has no number for, print `null`. The
 /// single formatting rule for every serialization path ([`Json::Num`]'s
 /// tree serializer delegates here, so [`JsonBuf`] output can never
-/// diverge from it).
+/// diverge from it). A float *value* keeps its non-finite cases through
+/// the wire's tagged encoding instead (see [`crate::protocol`]).
 pub fn number_into(n: f64, out: &mut String) {
     if n.fract() == 0.0 && n.abs() < 1e15 {
         write!(out, "{n:.0}").unwrap();
-    } else {
+    } else if n.is_finite() {
         write!(out, "{n}").unwrap();
+    } else {
+        out.push_str("null");
     }
 }
 

@@ -21,7 +21,9 @@
 //!   ([`crate::qbe`]).
 //!
 //! Values travel as tagged JSON arrays so 64-bit integers survive:
-//! `null`, `["b",true]`, `["i","42"]`, `["f",2.5]`, `["s","text"]`.
+//! `null`, `["b",true]`, `["i","42"]`, `["f",2.5]`, `["s","text"]`. JSON
+//! has no number for the floats a web page or an overflow can produce, so
+//! those travel by name: `["f","inf"]`, `["f","-inf"]`, `["f","NaN"]`.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, RwLock};
@@ -47,8 +49,35 @@ pub fn value_to_json(v: &Value) -> Json {
         Value::Null => Json::Null,
         Value::Bool(b) => Json::Arr(vec![Json::str("b"), Json::Bool(*b)]),
         Value::Int(i) => Json::Arr(vec![Json::str("i"), Json::Str(i.to_string())]),
-        Value::Float(f) => Json::Arr(vec![Json::str("f"), Json::Num(*f)]),
+        Value::Float(f) => Json::Arr(vec![
+            Json::str("f"),
+            non_finite_name(*f).map_or(Json::Num(*f), Json::str),
+        ]),
         Value::Str(s) => Json::Arr(vec![Json::str("s"), Json::str(s)]),
+    }
+}
+
+/// The wire name of a float JSON has no number for.
+fn non_finite_name(f: f64) -> Option<&'static str> {
+    if f.is_finite() {
+        None
+    } else if f.is_nan() {
+        Some("NaN")
+    } else if f > 0.0 {
+        Some("inf")
+    } else {
+        Some("-inf")
+    }
+}
+
+/// A tagged float's payload: a number, or the name of a non-finite one.
+fn float_from_json(j: &Json) -> Option<f64> {
+    match j.as_str() {
+        None => j.as_f64(),
+        Some("inf") => Some(f64::INFINITY),
+        Some("-inf") => Some(f64::NEG_INFINITY),
+        Some("NaN") => Some(f64::NAN),
+        Some(_) => None,
     }
 }
 
@@ -61,7 +90,7 @@ pub fn json_to_value(j: &Json) -> Option<Value> {
             match tag {
                 "b" => Some(Value::Bool(items.get(1)?.as_bool()?)),
                 "i" => Some(Value::Int(items.get(1)?.as_str()?.parse().ok()?)),
-                "f" => Some(Value::Float(items.get(1)?.as_f64()?)),
+                "f" => Some(Value::Float(float_from_json(items.get(1)?)?)),
                 "s" => Some(Value::str(items.get(1)?.as_str()?)),
                 _ => None,
             }
@@ -78,7 +107,14 @@ pub fn write_value(v: &Value, out: &mut JsonBuf) {
         Value::Null => out.null(),
         Value::Bool(b) => out.begin_arr().str_val("b").bool_val(*b).end_arr(),
         Value::Int(i) => out.begin_arr().str_val("i").int_str(*i).end_arr(),
-        Value::Float(f) => out.begin_arr().str_val("f").num(*f).end_arr(),
+        Value::Float(f) => {
+            out.begin_arr().str_val("f");
+            match non_finite_name(*f) {
+                None => out.num(*f),
+                Some(name) => out.str_val(name),
+            }
+            .end_arr()
+        }
         Value::Str(s) => out.begin_arr().str_val("s").str_val(s).end_arr(),
     };
 }
