@@ -82,16 +82,23 @@ struct Inner {
     capacity: usize,
 }
 
+/// Plans taken out of the cache under its lock. A plan can own hundreds of
+/// allocations, so callers let the lock go before dropping these.
+type Victims = Vec<Arc<PreparedQuery>>;
+
 impl Inner {
-    fn remove(&mut self, receiver: &str, sql: &str) {
-        if let Some(per_receiver) = self.map.get_mut(receiver) {
-            if per_receiver.remove(sql).is_some() {
-                self.len -= 1;
-            }
-            if per_receiver.is_empty() {
-                self.map.remove(receiver);
-            }
+    /// Take an entry out, handing its plan back to be dropped after the
+    /// lock is released.
+    fn remove(&mut self, receiver: &str, sql: &str) -> Option<Arc<PreparedQuery>> {
+        let per_receiver = self.map.get_mut(receiver)?;
+        let removed = per_receiver.remove(sql).map(|(prepared, _)| prepared);
+        if removed.is_some() {
+            self.len -= 1;
         }
+        if per_receiver.is_empty() {
+            self.map.remove(receiver);
+        }
+        removed
     }
 }
 
@@ -217,20 +224,22 @@ impl QueryCache {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(receiver).and_then(|m| m.get_mut(sql)) {
+        let stale = match inner.map.get_mut(receiver).and_then(|m| m.get_mut(sql)) {
             Some((prepared, last_used))
                 if versions.plan_valid(prepared.deps(), prepared.epoch()) =>
             {
                 *last_used = tick;
-                Some(Arc::clone(prepared))
+                return Some(Arc::clone(prepared));
             }
             Some(_) => {
-                inner.remove(receiver, sql);
                 inner.invalidations += 1;
-                None
+                inner.remove(receiver, sql)
             }
             None => None,
-        }
+        };
+        drop(inner);
+        drop(stale);
+        None
     }
 
     /// Look up a prepared query still valid under `versions`. A present
@@ -330,9 +339,15 @@ impl QueryCache {
     /// entry if the cache is full. With capacity 0 the cache is disabled
     /// and the insert is dropped.
     pub fn insert(&self, receiver: &str, sql: &str, prepared: Arc<PreparedQuery>) {
+        drop(self.insert_evicting(receiver, sql, prepared));
+    }
+
+    /// [`QueryCache::insert`], handing back what it displaced (a replaced
+    /// entry, evicted ones) to be dropped once the lock is released.
+    fn insert_evicting(&self, receiver: &str, sql: &str, prepared: Arc<PreparedQuery>) -> Victims {
         let mut inner = self.lock();
         if inner.capacity == 0 {
-            return;
+            return vec![prepared];
         }
         inner.tick += 1;
         let tick = inner.tick;
@@ -340,12 +355,13 @@ impl QueryCache {
             .map
             .entry(receiver.to_owned())
             .or_default()
-            .insert(sql.to_owned(), (prepared, tick))
-            .is_some();
-        if !replaced {
+            .insert(sql.to_owned(), (prepared, tick));
+        if replaced.is_none() {
             inner.len += 1;
         }
-        evict_down_to_capacity(&mut inner);
+        let mut victims = evict_down_to_capacity(&mut inner);
+        victims.extend(replaced.map(|(prepared, _)| prepared));
+        victims
     }
 
     /// Drop every entry whose recorded dependency footprint intersects
@@ -354,21 +370,28 @@ impl QueryCache {
     /// plans never linger even unread, while plans over untouched parts
     /// stay hot. Returns the number of entries dropped.
     pub fn invalidate_dependents(&self, parts: &[ModelPart]) -> u64 {
-        let mut inner = self.lock();
-        let victims: Vec<(String, String)> = inner
-            .map
-            .iter()
-            .flat_map(|(r, per)| {
-                per.iter()
-                    .filter(|(_, (prepared, _))| parts.iter().any(|p| prepared.deps().contains(p)))
-                    .map(move |(s, _)| (r.clone(), s.clone()))
-            })
-            .collect();
-        for (receiver, sql) in &victims {
-            inner.remove(receiver, sql);
-        }
-        inner.invalidations += victims.len() as u64;
+        let victims = self.take_dependents(parts);
         victims.len() as u64
+    }
+
+    /// The work of [`QueryCache::invalidate_dependents`] under the lock,
+    /// handing the dropped plans back to be freed after it.
+    fn take_dependents(&self, parts: &[ModelPart]) -> Victims {
+        let mut inner = self.lock();
+        let mut victims = Vec::new();
+        inner.map.retain(|_, per| {
+            per.retain(|_, (prepared, _)| {
+                let stale = parts.iter().any(|p| prepared.deps().contains(p));
+                if stale {
+                    victims.push(Arc::clone(prepared));
+                }
+                !stale
+            });
+            !per.is_empty()
+        });
+        inner.len -= victims.len();
+        inner.invalidations += victims.len() as u64;
+        victims
     }
 
     /// Drop every entry unconditionally (the pre-dependency-tracking
@@ -378,7 +401,9 @@ impl QueryCache {
         let mut inner = self.lock();
         inner.invalidations += inner.len as u64;
         inner.len = 0;
-        inner.map.clear();
+        let victims = std::mem::take(&mut inner.map);
+        drop(inner);
+        drop(victims);
     }
 
     /// Change the capacity bound, evicting LRU entries down to the new
@@ -386,7 +411,9 @@ impl QueryCache {
     pub fn set_capacity(&self, capacity: usize) {
         let mut inner = self.lock();
         inner.capacity = capacity;
-        evict_down_to_capacity(&mut inner);
+        let victims = evict_down_to_capacity(&mut inner);
+        drop(inner);
+        drop(victims);
     }
 
     /// Lock-free snapshot of the cumulative `(hits, misses)` counters —
@@ -417,10 +444,11 @@ impl QueryCache {
 /// Evict least-recently-used entries until the map fits the capacity
 /// bound (shared by insert and capacity changes). One selection pass
 /// finds the k oldest entries, so bulk shrinks (`set_capacity` far below
-/// the current occupancy) stay O(n) instead of O(n²).
-fn evict_down_to_capacity(inner: &mut Inner) {
+/// the current occupancy) stay O(n) instead of O(n²). Hands the evicted
+/// plans back, to be dropped after the lock is released.
+fn evict_down_to_capacity(inner: &mut Inner) -> Victims {
     if inner.len <= inner.capacity {
-        return;
+        return Vec::new();
     }
     let excess = inner.len - inner.capacity;
     if excess == 1 {
@@ -432,11 +460,11 @@ fn evict_down_to_capacity(inner: &mut Inner) {
             .flat_map(|(r, per)| per.iter().map(move |(s, (_, tick))| (*tick, r, s)))
             .min_by_key(|(tick, _, _)| *tick)
             .map(|(_, r, s)| (r.clone(), s.clone()));
-        if let Some((receiver, sql)) = victim {
-            inner.remove(&receiver, &sql);
-            inner.evictions += 1;
-        }
-        return;
+        let Some((receiver, sql)) = victim else {
+            return Vec::new();
+        };
+        inner.evictions += 1;
+        return inner.remove(&receiver, &sql).into_iter().collect();
     }
     let mut entries: Vec<(u64, String, String)> = inner
         .map
@@ -447,10 +475,12 @@ fn evict_down_to_capacity(inner: &mut Inner) {
         })
         .collect();
     entries.select_nth_unstable_by_key(excess - 1, |(tick, _, _)| *tick);
-    for (_, receiver, sql) in entries.into_iter().take(excess) {
-        inner.remove(&receiver, &sql);
-    }
     inner.evictions += excess as u64;
+    entries
+        .into_iter()
+        .take(excess)
+        .filter_map(|(_, receiver, sql)| inner.remove(&receiver, &sql))
+        .collect()
 }
 
 impl std::fmt::Debug for QueryCache {
@@ -462,5 +492,55 @@ impl std::fmt::Debug for QueryCache {
             .field("hits", &s.hits)
             .field("misses", &s.misses)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixtures::figure2_system;
+
+    const SQL: [&str; 3] = [
+        "SELECT r1.cname FROM r1",
+        "SELECT r2.cname FROM r2",
+        "SELECT r1.cname, r2.expenses FROM r1, r2 WHERE r1.cname = r2.cname",
+    ];
+
+    #[test]
+    fn displaced_plans_are_handed_back_to_drop_after_the_lock() {
+        let sys = figure2_system();
+        let plans: Vec<Arc<PreparedQuery>> = SQL
+            .iter()
+            .map(|sql| Arc::new(sys.prepare_uncached(sql, "c_recv").unwrap()))
+            .collect();
+        let cache = QueryCache::with_capacity(2);
+        for (sql, plan) in SQL.iter().zip(&plans).take(2) {
+            assert!(cache
+                .insert_evicting("c_recv", sql, Arc::clone(plan))
+                .is_empty());
+        }
+
+        // One insert past capacity hands back exactly the least recently
+        // used plan.
+        let victims = cache.insert_evicting("c_recv", SQL[2], Arc::clone(&plans[2]));
+        assert_eq!(victims.len(), 1);
+        assert!(Arc::ptr_eq(&victims[0], &plans[0]));
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.evictions, stats.invalidations, stats.entries),
+            (1, 0, 2)
+        );
+
+        // An invalidation hands back every dependent plan.
+        let victims = cache.take_dependents(&[ModelPart::Relation("r2".into())]);
+        assert_eq!(victims.len(), 2);
+        for plan in &plans[1..] {
+            assert!(victims.iter().any(|v| Arc::ptr_eq(v, plan)));
+        }
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.evictions, stats.invalidations, stats.entries),
+            (1, 2, 0)
+        );
     }
 }

@@ -11,10 +11,12 @@
 //!
 //! 1. normalize the receiver's SQL (conjunctive SELECT-FROM-WHERE);
 //! 2. compile domain model + context theories + elevation axioms +
-//!    conversion functions into an abductive logic program ([`crate::encode`]);
-//! 3. translate the query into goals over `rcv/2` (receiver-context values)
-//!    with comparison predicates mapped to the abducible case predicates
-//!    `eqc`/`neqc` and residual arithmetic comparisons;
+//!    conversion functions into an abductive logic program ([`crate::encode`]),
+//!    built as clauses the solver runs directly — the program's text is
+//!    printed only when asked for ([`crate::CoinSystem::mediation_program`]);
+//! 3. translate the query into goal literals over `rcv/2` (receiver-context
+//!    values) with comparison predicates mapped to the abducible case
+//!    predicates `eqc`/`neqc` and residual arithmetic comparisons;
 //! 4. enumerate all abductive answers — each hypothesis set Δ (case
 //!    assumptions + ancillary-source accesses) plus residual constraints is
 //!    one *conflict resolution case*;
@@ -26,9 +28,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use coin_logic::{CmpOp, Program, Solver, SolverConfig, Term};
+use coin_logic::{CmpOp, Literal, Program, Solver, SolverConfig, Sym, Term};
 use coin_rel::Value;
 use coin_sql::normalize::SchemaLookup;
 use coin_sql::{BinOp, ColumnRef, Expr, Query, Select, SelectItem, TableRef};
@@ -45,7 +47,6 @@ pub enum MediationError {
     Model(ModelError),
     Sql(coin_sql::SqlError),
     Normalize(coin_sql::NormalizeError),
-    Logic(coin_logic::ProgramError),
     /// The query uses constructs outside the conjunctive fragment the
     /// mediator rewrites (disjunction, aggregates inside mediation, …).
     Unsupported(String),
@@ -59,7 +60,6 @@ impl std::fmt::Display for MediationError {
             MediationError::Model(e) => write!(f, "{e}"),
             MediationError::Sql(e) => write!(f, "{e}"),
             MediationError::Normalize(e) => write!(f, "{e}"),
-            MediationError::Logic(e) => write!(f, "{e}"),
             MediationError::Unsupported(m) => write!(f, "mediation does not support: {m}"),
             MediationError::Decode(m) => write!(f, "internal decode error: {m}"),
         }
@@ -83,11 +83,6 @@ impl From<coin_sql::NormalizeError> for MediationError {
         MediationError::Normalize(e)
     }
 }
-impl From<coin_logic::ProgramError> for MediationError {
-    fn from(e: coin_logic::ProgramError) -> Self {
-        MediationError::Logic(e)
-    }
-}
 
 /// One mediated sub-query with its provenance.
 #[derive(Debug, Clone)]
@@ -107,10 +102,8 @@ pub struct Mediated {
     pub query: Query,
     /// Per-branch provenance (the mediator's explanation).
     pub branches: Vec<BranchReport>,
-    /// The generated logic program (the explicit codification of the
-    /// contexts involved).
-    pub program_text: String,
-    /// Number of logic statements compiled for this mediation.
+    /// Number of logic statements compiled for this mediation (the program
+    /// itself is rebuilt on demand by [`Mediator::program`]).
     pub statements: usize,
     /// The model parts this mediation consulted — the read footprint the
     /// prepared-query cache uses for dependency-exact invalidation:
@@ -211,30 +204,19 @@ impl<'a> Mediator<'a> {
         receiver: &str,
         schema: &dyn SchemaLookup,
     ) -> Result<Mediated, MediationError> {
-        let s = coin_sql::normalize_select(select, schema)?;
-        check_conjunctive(&s)?;
-        let referenced = referenced_columns(&s)?;
-
-        // Normalization resolved the FROM tables through the dictionary:
-        // their resolvability is part of the read footprint.
-        let mut deps = PlanDeps::new();
-        for t in &s.from {
-            deps.record(ModelPart::Relation(t.table.clone()));
-        }
-
-        let enc = self.compile_program(&s, receiver, &referenced, &mut deps)?;
-        let program_text = enc.text().to_owned();
+        let Compiled {
+            select: s,
+            referenced,
+            enc,
+            mut deps,
+        } = self.compile(select, receiver, schema)?;
         let statements = enc.statement_count();
 
-        let (goals, out_vars) = build_goals(&s, &referenced)?;
-
         // ---- solve --------------------------------------------------------
-        let program = Program::from_source(&program_text)?;
-        let solver = Solver::with_config(&program, self.solver_config);
-        let (parsed_goals, nvars, names) = coin_logic::parse_goals(&goals).map_err(|e| {
-            MediationError::Decode(format!("goal construction: {e}\ngoals: {goals}"))
-        })?;
-        let answers = solver.all_answers(&parsed_goals, nvars);
+        let goals = build_goals(&s, &referenced)?;
+        let nvars = (referenced.len() + s.items.len()) as u32;
+        let solver = Solver::with_config(enc.program(), self.solver_config);
+        let answers = solver.all_answers(&goals, nvars);
         if answers.is_empty() {
             // No consistent case exists — the query is provably empty
             // (e.g. a ground-false predicate, or contradictory context
@@ -254,7 +236,6 @@ impl<'a> Mediator<'a> {
                     residuals: Vec::new(),
                     select: empty,
                 }],
-                program_text,
                 statements,
                 deps,
                 sql_text: OnceLock::new(),
@@ -262,14 +243,7 @@ impl<'a> Mediator<'a> {
             });
         }
 
-        let branches = decode_branches(
-            &answers,
-            &s,
-            &out_vars,
-            &names,
-            &enc.ancillaries,
-            self.conversions,
-        )?;
+        let branches = decode_branches(&answers, &s, referenced.len(), &enc.ancillaries)?;
 
         // Ancillary lookups surface as extra FROM tables in the decoded
         // branches (e.g. the exchange-rate relation): stage them in the
@@ -285,11 +259,50 @@ impl<'a> Mediator<'a> {
         Ok(Mediated {
             query,
             branches,
-            program_text,
             statements,
             deps,
             sql_text: OnceLock::new(),
             explanation: OnceLock::new(),
+        })
+    }
+
+    /// The logic program [`Mediator::mediate_select`] solves for `select`:
+    /// the explicit codification of the contexts the query involves, which
+    /// [`crate::encode::program_text`] prints. Compiled afresh on each call.
+    pub fn program(
+        &self,
+        select: &Select,
+        receiver: &str,
+        schema: &dyn SchemaLookup,
+    ) -> Result<Program, MediationError> {
+        Ok(self.compile(select, receiver, schema)?.enc.into_program())
+    }
+
+    /// The compile phases up to the logic program: normalize and check the
+    /// query, collect its column references, and encode the program.
+    fn compile(
+        &self,
+        select: &Select,
+        receiver: &str,
+        schema: &dyn SchemaLookup,
+    ) -> Result<Compiled, MediationError> {
+        let s = coin_sql::normalize_select(select, schema)?;
+        check_conjunctive(&s)?;
+        let referenced = referenced_columns(&s)?;
+
+        // Normalization resolved the FROM tables through the dictionary:
+        // their resolvability is part of the read footprint.
+        let mut deps = PlanDeps::new();
+        for t in &s.from {
+            deps.record(ModelPart::Relation(t.table.clone()));
+        }
+
+        let enc = self.compile_program(&s, receiver, &referenced, &mut deps)?;
+        Ok(Compiled {
+            select: s,
+            referenced,
+            enc,
+            deps,
         })
     }
 
@@ -339,6 +352,18 @@ impl<'a> Mediator<'a> {
     }
 }
 
+/// What [`Mediator::compile`] hands the solve and decode phases.
+struct Compiled {
+    /// The normalized query.
+    select: Select,
+    /// Its distinct `(binding, column)` references (see
+    /// [`referenced_columns`]).
+    referenced: Vec<(String, String)>,
+    enc: Encoder,
+    /// The read footprint gathered so far.
+    deps: PlanDeps,
+}
+
 /// Compile phase 1: the distinct `(binding, column)` pairs referenced
 /// anywhere in the normalized query, in first-reference order.
 fn referenced_columns(s: &Select) -> Result<Vec<(String, String)>, MediationError> {
@@ -365,51 +390,38 @@ fn referenced_columns(s: &Select) -> Result<Vec<(String, String)>, MediationErro
 }
 
 /// Compile phase 3: translate the query into goals over `rcv/2` plus the
-/// abducible case predicates, returning the goal conjunction and the
-/// output variable names.
+/// abducible case predicates. Variables are numbered as they first appear:
+/// the referenced columns' receiver values `0..referenced.len()`, then one
+/// output variable per select item.
 fn build_goals(
     s: &Select,
     referenced: &[(String, String)],
-) -> Result<(String, Vec<String>), MediationError> {
-    let mut col_vars: BTreeMap<(String, String), String> = BTreeMap::new();
-    let mut goals = String::new();
-    for (i, (b, c)) in referenced.iter().enumerate() {
-        let var = format!("C{i}");
-        if !goals.is_empty() {
-            goals.push_str(", ");
-        }
-        write!(goals, "rcv({}, {var})", col_term(b, c)).unwrap();
-        col_vars.insert((b.clone(), c.clone()), var);
+) -> Result<Vec<Literal>, MediationError> {
+    let rcv = Sym::intern("rcv");
+    let mut goals = Vec::new();
+    for (i, (b, c)) in (0..).zip(referenced) {
+        goals.push(Literal::Pos(Term::Compound(
+            rcv,
+            vec![col_term(b, c), Term::var(i)],
+        )));
     }
     if let Some(w) = &s.where_clause {
         for raw in w.conjuncts() {
             for conjunct in desugar_conjunct(raw) {
-                let goal = where_goal(&conjunct, &col_vars)?;
-                if !goals.is_empty() {
-                    goals.push_str(", ");
-                }
-                goals.push_str(&goal);
+                goals.push(where_goal(&conjunct, referenced)?);
             }
         }
     }
-    let mut out_vars = Vec::new();
-    for (j, item) in s.items.iter().enumerate() {
+    let first_out = referenced.len() as u32;
+    for (j, item) in (first_out..).zip(&s.items) {
         let SelectItem::Expr { expr, .. } = item else {
             return Err(MediationError::Unsupported("wildcard select item".into()));
         };
-        let term = expr_to_goal_term(expr, &col_vars)?;
-        let var = format!("O{j}");
-        if !goals.is_empty() {
-            goals.push_str(", ");
-        }
-        if is_arith_expr(expr) {
-            write!(goals, "{var} is {term}").unwrap();
-        } else {
-            write!(goals, "{var} = {term}").unwrap();
-        }
-        out_vars.push(var);
+        let term = expr_to_goal_term(expr, referenced)?;
+        let op = if is_arith_expr(expr) { "is" } else { "=" };
+        goals.push(Literal::Pos(Term::compound(op, vec![Term::var(j), term])));
     }
-    Ok((goals, out_vars))
+    Ok(goals)
 }
 
 /// Compile phase 4: decode every abductive answer into one SQL sub-query,
@@ -417,15 +429,13 @@ fn build_goals(
 fn decode_branches(
     answers: &[coin_logic::Answer],
     s: &Select,
-    out_vars: &[String],
-    names: &std::collections::HashMap<String, u32>,
+    first_out: usize,
     ancillaries: &[(String, Conversion)],
-    conversions: &ConversionRegistry,
 ) -> Result<Vec<BranchReport>, MediationError> {
     let mut branches: Vec<BranchReport> = Vec::new();
     let mut seen_sql: Vec<String> = Vec::new();
     for ans in answers {
-        let branch = decode_answer(ans, s, out_vars, names, ancillaries, conversions)?;
+        let branch = decode_answer(ans, s, first_out, ancillaries)?;
         let printed = branch.select.to_string();
         if !seen_sql.contains(&printed) {
             seen_sql.push(printed);
@@ -499,26 +509,25 @@ fn is_arith_expr(e: &Expr) -> bool {
     )
 }
 
-/// Translate a scalar expression into a logic term over the column vars.
-fn expr_to_goal_term(
-    e: &Expr,
-    col_vars: &BTreeMap<(String, String), String>,
-) -> Result<String, MediationError> {
+/// Translate a scalar expression into a logic term over the column vars
+/// (column `i` of `referenced` is variable `i`).
+fn expr_to_goal_term(e: &Expr, referenced: &[(String, String)]) -> Result<Term, MediationError> {
     Ok(match e {
         Expr::Column(c) => {
-            let q = c.qualifier.clone().unwrap_or_default();
-            col_vars
-                .get(&(q, c.column.clone()))
-                .cloned()
-                .ok_or_else(|| MediationError::Decode(format!("no var for column {c}")))?
+            let q = c.qualifier.as_deref().unwrap_or_default();
+            let i = referenced
+                .iter()
+                .position(|(b, col)| b == q && *col == c.column)
+                .ok_or_else(|| MediationError::Decode(format!("no var for column {c}")))?;
+            Term::var(i as u32)
         }
-        Expr::Int(i) => value_term(&Value::Int(*i)),
-        Expr::Float(f) => value_term(&Value::Float(*f)),
-        Expr::Str(s) => value_term(&Value::str(s)),
+        Expr::Int(i) => Term::Int(*i),
+        Expr::Float(f) => Term::float(*f),
+        // A query literal is not interned: fresh literals must not grow
+        // the process-wide symbol table.
+        Expr::Str(s) => Term::Str(Arc::from(s.as_str())),
         Expr::Bool(b) => value_term(&Value::Bool(*b)),
         Expr::Bin(l, op, r) if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div) => {
-            let ls = expr_to_goal_term(l, col_vars)?;
-            let rs = expr_to_goal_term(r, col_vars)?;
             let sym = match op {
                 BinOp::Add => "+",
                 BinOp::Sub => "-",
@@ -526,7 +535,13 @@ fn expr_to_goal_term(
                 BinOp::Div => "/",
                 _ => unreachable!(),
             };
-            format!("(({ls}) {sym} ({rs}))")
+            Term::compound(
+                sym,
+                vec![
+                    expr_to_goal_term(l, referenced)?,
+                    expr_to_goal_term(r, referenced)?,
+                ],
+            )
         }
         other => {
             return Err(MediationError::Unsupported(format!(
@@ -537,29 +552,29 @@ fn expr_to_goal_term(
 }
 
 /// Translate a WHERE comparison into a goal.
-fn where_goal(
-    e: &Expr,
-    col_vars: &BTreeMap<(String, String), String>,
-) -> Result<String, MediationError> {
+fn where_goal(e: &Expr, referenced: &[(String, String)]) -> Result<Literal, MediationError> {
     let Expr::Bin(l, op, r) = e else {
         return Err(MediationError::Unsupported(format!("WHERE predicate {e}")));
     };
-    let ls = expr_to_goal_term(l, col_vars)?;
-    let rs = expr_to_goal_term(r, col_vars)?;
-    Ok(match op {
-        BinOp::Eq => format!("eqc({ls}, {rs})"),
-        BinOp::Neq => format!("neqc({ls}, {rs})"),
-        BinOp::Lt => format!("({ls}) < ({rs})"),
-        BinOp::Le => format!("({ls}) =< ({rs})"),
-        BinOp::Gt => format!("({ls}) > ({rs})"),
-        BinOp::Ge => format!("({ls}) >= ({rs})"),
+    let predicate = match op {
+        BinOp::Eq => "eqc",
+        BinOp::Neq => "neqc",
+        BinOp::Lt => "<",
+        BinOp::Le => "=<",
+        BinOp::Gt => ">",
+        BinOp::Ge => ">=",
         other => {
             return Err(MediationError::Unsupported(format!(
                 "comparison {} in WHERE",
                 other.sql()
             )))
         }
-    })
+    };
+    let args = vec![
+        expr_to_goal_term(l, referenced)?,
+        expr_to_goal_term(r, referenced)?,
+    ];
+    Ok(Literal::Pos(Term::compound(predicate, args)))
 }
 
 // ---------------------------------------------------------------------------
@@ -569,12 +584,9 @@ fn where_goal(
 fn decode_answer(
     ans: &coin_logic::Answer,
     original: &Select,
-    out_vars: &[String],
-    names: &std::collections::HashMap<String, u32>,
+    first_out: usize,
     ancillaries: &[(String, Conversion)],
-    conversions: &ConversionRegistry,
 ) -> Result<BranchReport, MediationError> {
-    let _ = conversions;
     // 1. Ancillary atoms introduce FROM aliases and map their rate variable.
     let mut from = original.from.clone();
     let mut used_bindings: Vec<String> = from.iter().map(|t| t.binding().to_owned()).collect();
@@ -690,10 +702,7 @@ fn decode_answer(
         let SelectItem::Expr { alias, .. } = item else {
             unreachable!()
         };
-        let var_idx = *names
-            .get(&out_vars[j])
-            .ok_or_else(|| MediationError::Decode(format!("missing output var {}", out_vars[j])))?;
-        let term = &ans.bindings[var_idx as usize];
+        let term = &ans.bindings[first_out + j];
         items.push(SelectItem::Expr {
             expr: term_to_expr(term, &var_columns)?,
             alias: alias.clone(),
@@ -725,7 +734,7 @@ fn term_to_expr(t: &Term, var_columns: &BTreeMap<u32, ColumnRef>) -> Result<Expr
     Ok(match t {
         Term::Int(i) => Expr::Int(*i),
         Term::Float(f) => Expr::Float(f.0),
-        Term::Str(s) => Expr::Str(s.as_str().to_owned()),
+        Term::Str(s) => Expr::Str(s.to_string()),
         Term::Atom(a) => match a.as_str() {
             "true" => Expr::Bool(true),
             "false" => Expr::Bool(false),

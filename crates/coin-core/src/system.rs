@@ -208,12 +208,15 @@ impl CoinSystem {
         &mut self,
         source: S,
     ) -> Result<(), CoinError> {
-        let tables: Vec<ModelPart> = source
-            .tables()
-            .into_iter()
-            .map(|(t, _)| ModelPart::Relation(t))
-            .collect();
+        let name = source.name().to_owned();
         self.planner.dictionary.register_source(source)?;
+        let tables = self
+            .planner
+            .dictionary
+            .tables_of(&name)?
+            .iter()
+            .map(|t| ModelPart::Relation(t.clone()))
+            .collect();
         self.bump(tables);
         Ok(())
     }
@@ -375,16 +378,35 @@ impl CoinSystem {
 
     /// Mediate SQL posed in `receiver` context without executing it.
     pub fn mediate(&self, sql: &str, receiver: &str) -> Result<Mediated, CoinError> {
+        let core = self.mediated_core(sql)?;
+        Ok(self
+            .mediator()
+            .mediate_select(&core, receiver, self.dictionary())?)
+    }
+
+    /// The conjunctive core of a single-SELECT `sql`: what mediation
+    /// rewrites.
+    fn mediated_core(&self, sql: &str) -> Result<Select, CoinError> {
         let q = coin_sql::parse_query(sql)?;
         let Query::Select(s) = q else {
             return Err(CoinError::Unsupported(
                 "mediation input must be a single SELECT".into(),
             ));
         };
-        let (core, _outer) = split_outer(&s, self.dictionary())?;
-        Ok(self
+        Ok(split_outer(&s, self.dictionary())?.0)
+    }
+
+    /// The logic program mediating `sql` in `receiver` context, printed:
+    /// the context axioms, elevation axioms and conversion functions the
+    /// query involves, as clauses that [`coin_logic::Program::from_source`]
+    /// loads back. Compiled on each call; neither [`CoinSystem::mediate`]
+    /// nor the plan cache prints it.
+    pub fn mediation_program(&self, sql: &str, receiver: &str) -> Result<String, CoinError> {
+        let core = self.mediated_core(sql)?;
+        let program = self
             .mediator()
-            .mediate_select(&core, receiver, self.dictionary())?)
+            .program(&core, receiver, self.dictionary())?;
+        Ok(crate::encode::program_text(&program))
     }
 
     /// Compile `sql` posed in `receiver` context into a shareable

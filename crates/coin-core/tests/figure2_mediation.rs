@@ -270,5 +270,8 @@ fn statements_counted() {
         "program statements: {}",
         mediated.statements
     );
-    assert!(mediated.program_text.contains("mod_val"));
+    assert!(sys
+        .mediation_program(Q1, "c_recv")
+        .unwrap()
+        .contains("mod_val"));
 }

@@ -5,6 +5,8 @@
 //! backtrack in O(bindings-since-mark). Unification uses the occurs check
 //! (mediation programs are small; soundness beats the minor cost).
 
+use std::borrow::Cow;
+
 use crate::term::{Term, Var};
 
 /// The binding environment for a resolution derivation.
@@ -108,9 +110,9 @@ impl Bindings {
     /// success. On failure the caller is responsible for undoing to a mark
     /// (failed unification may leave partial bindings on the trail).
     pub fn unify(&mut self, a: &Term, b: &Term) -> bool {
-        let wa = self.walk(a).clone();
-        let wb = self.walk(b).clone();
-        match (&wa, &wb) {
+        let wa = self.walked(a);
+        let wb = self.walked(b);
+        match (&*wa, &*wb) {
             (Term::Var(va), Term::Var(vb)) if va == vb => true,
             (Term::Var(v), t) => {
                 if self.occurs(*v, t) {
@@ -139,6 +141,16 @@ impl Bindings {
                 xs.iter().zip(ys.iter()).all(|(x, y)| self.unify(x, y))
             }
             _ => false,
+        }
+    }
+
+    /// [`Bindings::walk`], owned only where the walk followed a binding: a
+    /// term that is not a variable is its own walk, and unification may
+    /// bind variables while it holds it.
+    fn walked<'t>(&self, t: &'t Term) -> Cow<'t, Term> {
+        match t {
+            Term::Var(_) => Cow::Owned(self.walk(t).clone()),
+            _ => Cow::Borrowed(t),
         }
     }
 

@@ -115,11 +115,10 @@ pub fn ground_cmp(a: &Term, b: &Term) -> Option<std::cmp::Ordering> {
         (Term::Int(x), Term::Int(y)) => Some(x.cmp(y)),
         _ if a.is_number() && b.is_number() => a.as_f64()?.partial_cmp(&b.as_f64()?),
         (Term::Atom(x), Term::Atom(y)) => Some(x.as_str().cmp(y.as_str())),
-        (Term::Str(x), Term::Str(y)) => Some(x.as_str().cmp(y.as_str())),
+        (Term::Str(x), Term::Str(y)) => Some(x.cmp(y)),
         // Atom/Str cross comparison: both are "textual" data; compare text.
-        (Term::Atom(x), Term::Str(y)) | (Term::Str(x), Term::Atom(y)) => {
-            Some(x.as_str().cmp(y.as_str()))
-        }
+        (Term::Atom(x), Term::Str(y)) => Some(x.as_str().cmp(y)),
+        (Term::Str(x), Term::Atom(y)) => Some((**x).cmp(y.as_str())),
         _ => None,
     }
 }

@@ -230,43 +230,43 @@ impl<'a> Lexer<'a> {
             }
             b'\'' => {
                 self.bump();
-                let mut s = String::new();
+                let mut s = Vec::new();
                 loop {
                     match self.bump() {
                         None => return Err(self.err("unterminated quoted atom")),
                         Some(b'\\') => match self.bump() {
-                            Some(b'\'') => s.push('\''),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b't') => s.push('\t'),
+                            Some(b'\'') => s.push(b'\''),
+                            Some(b'\\') => s.push(b'\\'),
+                            Some(b'n') => s.push(b'\n'),
+                            Some(b't') => s.push(b'\t'),
                             other => return Err(self.err(format!("bad escape in atom: {other:?}"))),
                         },
                         Some(b'\'') => break,
-                        Some(c) => s.push(c as char),
+                        Some(c) => s.push(c),
                     }
                 }
-                Tok::Atom(s)
+                Tok::Atom(utf8(s))
             }
             b'"' => {
                 self.bump();
-                let mut s = String::new();
+                let mut s = Vec::new();
                 loop {
                     match self.bump() {
                         None => return Err(self.err("unterminated string")),
                         Some(b'\\') => match self.bump() {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b't') => s.push('\t'),
+                            Some(b'"') => s.push(b'"'),
+                            Some(b'\\') => s.push(b'\\'),
+                            Some(b'n') => s.push(b'\n'),
+                            Some(b't') => s.push(b'\t'),
                             other => {
                                 return Err(self.err(format!("bad escape in string: {other:?}")))
                             }
                         },
                         Some(b'"') => break,
-                        Some(c) => s.push(c as char),
+                        Some(c) => s.push(c),
                     }
                 }
-                Tok::Str(s)
+                Tok::Str(utf8(s))
             }
             c if c.is_ascii_digit() => {
                 let start = self.pos;
@@ -338,6 +338,12 @@ impl<'a> Lexer<'a> {
         };
         Ok(Some((tok, line, col)))
     }
+}
+
+/// The text of a quoted atom or string. The source is UTF-8 and quotes
+/// and escapes are ASCII, so the bytes between the quotes are UTF-8 too.
+fn utf8(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("a quoted token of UTF-8 source is UTF-8")
 }
 
 /// Binary operator table: (name, precedence). All are left-associative at
@@ -752,5 +758,15 @@ mod tests {
         };
         assert_eq!(args[0], Term::atom("it's"));
         assert_eq!(args[1], Term::string("a \"b\""));
+    }
+
+    #[test]
+    fn quoted_text_keeps_non_ascii() {
+        let c = one_clause("p('通貨', \"Zürich\").");
+        let Term::Compound(_, args) = &c.head else {
+            panic!()
+        };
+        assert_eq!(args[0], Term::atom("通貨"));
+        assert_eq!(args[1], Term::string("Zürich"));
     }
 }

@@ -91,6 +91,12 @@ impl Program {
         self.abducibles.get(&key).copied()
     }
 
+    /// Every declared abducible with its ground semantics, in no
+    /// particular order.
+    pub fn abducibles(&self) -> impl Iterator<Item = ((Sym, usize), AbducibleSpec)> + '_ {
+        self.abducibles.iter().map(|(&key, &spec)| (key, spec))
+    }
+
     pub fn is_abducible(&self, key: (Sym, usize)) -> bool {
         self.abducibles.contains_key(&key)
     }

@@ -18,6 +18,7 @@
 //! derivations into silent branch failures and sets a `truncated` flag the
 //! caller can inspect.
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::HashMap;
 
@@ -164,6 +165,46 @@ impl std::fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
+/// The goals left to prove, as a chain of frames on the solver's stack:
+/// `lits`, with every variable shifted by `offset` (a clause body taken
+/// as written, renamed apart only as each goal is reached), then the goals
+/// of the frame below. Resolving a goal pushes the clause body as a new
+/// frame over the rest instead of copying the rest behind it.
+#[derive(Clone, Copy)]
+struct Goals<'a> {
+    lits: &'a [Literal],
+    offset: u32,
+    rest: Option<&'a Goals<'a>>,
+}
+
+impl<'a> Goals<'a> {
+    /// Goals taken as they stand, with nothing after them.
+    fn new(lits: &'a [Literal]) -> Goals<'a> {
+        Goals {
+            lits,
+            offset: 0,
+            rest: None,
+        }
+    }
+
+    /// The first goal left, renamed apart, and the goals after it; `None`
+    /// once every frame is exhausted.
+    fn split_first(self) -> Option<(Cow<'a, Literal>, Goals<'a>)> {
+        let mut frame = self;
+        loop {
+            if let Some((first, lits)) = frame.lits.split_first() {
+                let first = if frame.offset == 0 {
+                    Cow::Borrowed(first)
+                } else {
+                    Cow::Owned(first.offset_vars(frame.offset))
+                };
+                return Some((first, Goals { lits, ..frame }));
+            }
+            frame = *frame.rest?;
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ctl {
     Continue,
@@ -214,7 +255,7 @@ impl<'p> Solver<'p> {
         let mut out: Vec<Answer> = Vec::new();
         let max = self.config.max_answers;
         self.solve(
-            goals,
+            Goals::new(goals),
             &mut state,
             0,
             Mode { allow_abduce: true },
@@ -247,7 +288,7 @@ impl<'p> Solver<'p> {
         state.bindings.fresh(nvars);
         let mut out = None;
         self.solve(
-            goals,
+            Goals::new(goals),
             &mut state,
             0,
             Mode { allow_abduce: true },
@@ -296,7 +337,7 @@ impl<'p> Solver<'p> {
 
     fn solve(
         &self,
-        goals: &[Literal],
+        goals: Goals<'_>,
         state: &mut State,
         depth: usize,
         mode: Mode,
@@ -314,7 +355,7 @@ impl<'p> Solver<'p> {
             }
             return Ctl::Continue;
         };
-        match first {
+        match &*first {
             Literal::Pos(goal) => self.solve_pos(goal, rest, state, depth, mode, emit),
             Literal::Neg(goal) => {
                 // Negation as failure. The subproof may not abduce; if the
@@ -323,7 +364,7 @@ impl<'p> Solver<'p> {
                 let cp = state.checkpoint();
                 let mut found = false;
                 self.solve(
-                    &[Literal::Pos(goal.clone())],
+                    Goals::new(&[Literal::Pos(goal.clone())]),
                     state,
                     depth + 1,
                     Mode {
@@ -357,13 +398,18 @@ impl<'p> Solver<'p> {
     fn solve_pos(
         &self,
         goal: &Term,
-        rest: &[Literal],
+        rest: Goals<'_>,
         state: &mut State,
         depth: usize,
         mode: Mode,
         emit: &mut dyn FnMut(&mut State) -> Ctl,
     ) -> Ctl {
-        let walked = state.bindings.walk(goal).clone();
+        // Only a variable goal can walk to something else; any other goal
+        // is used as it stands.
+        let walked = match goal {
+            Term::Var(_) => Cow::Owned(state.bindings.walk(goal).clone()),
+            _ => Cow::Borrowed(goal),
+        };
         let Some(key) = walked.functor() else {
             // A variable or number in goal position: not callable — fail.
             return Ctl::Continue;
@@ -379,20 +425,20 @@ impl<'p> Solver<'p> {
             return self.solve_abducible(&walked, spec.ground, rest, state, depth, mode, emit);
         }
 
-        // Knowledge-base resolution.
+        // Knowledge-base resolution: the clause body goes in front of the
+        // remaining goals by reference, instantiated as each goal is reached.
         let clauses = self.program.kb.clauses_for(key);
         for clause in clauses {
             let cp = state.checkpoint();
             let base = state.bindings.fresh(clause.nvars);
             let head = clause.head.offset_vars(base);
             if state.bindings.unify(&walked, &head) {
-                let mut new_goals: Vec<Literal> =
-                    Vec::with_capacity(clause.body.len() + rest.len());
-                for l in &clause.body {
-                    new_goals.push(l.offset_vars(base));
-                }
-                new_goals.extend_from_slice(rest);
-                if self.solve(&new_goals, state, depth + 1, mode, emit) == Ctl::Stop {
+                let goals = Goals {
+                    lits: &clause.body,
+                    offset: base,
+                    rest: Some(&rest),
+                };
+                if self.solve(goals, state, depth + 1, mode, emit) == Ctl::Stop {
                     return Ctl::Stop;
                 }
             }
@@ -406,7 +452,7 @@ impl<'p> Solver<'p> {
         &self,
         goal: &Term,
         ground: GroundSemantics,
-        rest: &[Literal],
+        rest: Goals<'_>,
         state: &mut State,
         depth: usize,
         mode: Mode,
@@ -490,10 +536,14 @@ impl<'p> Solver<'p> {
         for ic in self.program.ics() {
             let cp = state.checkpoint();
             let base = state.bindings.fresh(ic.nvars);
-            let body: Vec<Literal> = ic.body.iter().map(|l| l.offset_vars(base)).collect();
+            let body = Goals {
+                lits: &ic.body,
+                offset: base,
+                rest: None,
+            };
             let mut violated = false;
             self.solve(
-                &body,
+                body,
                 state,
                 depth + 1,
                 Mode {
@@ -520,7 +570,7 @@ impl<'p> Solver<'p> {
         &self,
         goal: &Term,
         key: (Sym, usize),
-        rest: &[Literal],
+        rest: Goals<'_>,
         state: &mut State,
         depth: usize,
         mode: Mode,
@@ -538,10 +588,13 @@ impl<'p> Solver<'p> {
             ("true", 0) => cont(state, emit),
             ("fail", 0) | ("false", 0) => Ctl::Continue,
             ("call", 1) => {
-                let inner = Literal::Pos(args[0].clone());
-                let mut goals = vec![inner];
-                goals.extend_from_slice(rest);
-                self.solve(&goals, state, depth + 1, mode, emit)
+                let inner = [Literal::Pos(args[0].clone())];
+                let goals = Goals {
+                    lits: &inner,
+                    offset: 0,
+                    rest: Some(&rest),
+                };
+                self.solve(goals, state, depth + 1, mode, emit)
             }
             ("=", 2) => {
                 let cp = state.checkpoint();
@@ -670,7 +723,7 @@ impl<'p> Solver<'p> {
         op: CmpOp,
         lhs: &Term,
         rhs: &Term,
-        rest: &[Literal],
+        rest: Goals<'_>,
         state: &mut State,
         depth: usize,
         mode: Mode,
@@ -876,6 +929,23 @@ mod tests {
         );
         assert!(s.query("loop(1)").unwrap().is_empty());
         assert!(s.was_truncated());
+    }
+
+    #[test]
+    fn depth_counts_one_per_resolution_step() {
+        // a -> b -> c -> fact: the empty goal list is reached at depth 3.
+        let p = Program::from_source("a :- b. b :- c. c.").unwrap();
+        for (max_depth, provable) in [(3, true), (2, false)] {
+            let s = Solver::with_config(
+                &p,
+                SolverConfig {
+                    max_depth,
+                    ..SolverConfig::default()
+                },
+            );
+            assert_eq!(s.query("a").unwrap().len(), usize::from(provable));
+            assert_eq!(s.was_truncated(), !provable);
+        }
     }
 
     #[test]

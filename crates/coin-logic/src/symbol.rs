@@ -1,7 +1,7 @@
 //! Global string interning.
 //!
-//! Every atom, functor and string constant in the logic engine is represented
-//! by a [`Sym`]: a 32-bit index into a process-wide intern table. Interned
+//! Every atom and functor name in the logic engine is represented by a
+//! [`Sym`]: a 32-bit index into a process-wide intern table. Interned
 //! strings live for the lifetime of the process (they are leaked once, on
 //! first interning), which lets [`Sym::as_str`] hand out `&'static str`
 //! without holding any lock.
@@ -56,6 +56,13 @@ impl Sym {
     pub fn as_str(self) -> &'static str {
         let t = table().read().unwrap();
         t.strings[self.0 as usize]
+    }
+
+    /// How many distinct strings have been interned so far in this process.
+    /// Interned strings are never freed, so a count that keeps growing
+    /// under a steady workload is a leak.
+    pub fn interned_count() -> usize {
+        table().read().unwrap().strings.len()
     }
 
     /// Raw index (useful for dense side tables).

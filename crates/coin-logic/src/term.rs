@@ -9,6 +9,8 @@
 //! the constraint store). NaN is not a meaningful constant in this system and
 //! is rejected by the parser.
 
+use std::sync::Arc;
+
 use crate::symbol::Sym;
 
 /// A logic variable, identified by index into the current frame's bindings.
@@ -59,8 +61,10 @@ pub enum Term {
     /// A float constant.
     Float(OrderedF64),
     /// A string constant, e.g. `"NTT"`. Distinct from atoms so that the SQL
-    /// layer can round-trip string literals faithfully.
-    Str(Sym),
+    /// layer can round-trip string literals faithfully. Held by value rather
+    /// than interned: query literals are unbounded, and an interned string
+    /// lives as long as the process.
+    Str(Arc<str>),
     /// A compound term `f(t1, …, tn)` with `n >= 1`.
     Compound(Sym, Vec<Term>),
 }
@@ -73,7 +77,7 @@ impl Term {
 
     /// Convenience: a string constant.
     pub fn string(s: &str) -> Term {
-        Term::Str(Sym::intern(s))
+        Term::Str(Arc::from(s))
     }
 
     /// Convenience: an integer constant.
@@ -199,7 +203,7 @@ impl std::fmt::Display for Term {
                     write!(f, "{}", x.0)
                 }
             }
-            Term::Str(s) => write!(f, "\"{}\"", s.as_str().replace('"', "\\\"")),
+            Term::Str(s) => write!(f, "\"{}\"", s.replace('"', "\\\"")),
             Term::Compound(g, args) => {
                 write!(f, "{}(", Term::Atom(*g))?;
                 for (i, a) in args.iter().enumerate() {

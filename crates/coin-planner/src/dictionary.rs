@@ -7,8 +7,14 @@
 //! is that service: it registers sources, resolves table names (optionally
 //! source-qualified, `src1.r1`) and serves schemas to the normalizer, the
 //! mediator and clients.
+//!
+//! A source's table listing is fixed for its lifetime (see
+//! [`Source::tables`]), so registration reads it once into an index by
+//! table name; every later lookup is a hash probe that costs the same
+//! however many sources are registered.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -57,6 +63,8 @@ const MEASURE_FROM_NS: u64 = 125_000;
 #[derive(Clone)]
 pub(crate) struct Registered {
     pub(crate) source: SourceRef,
+    /// The tables the source exports, in the order it lists them.
+    tables: Arc<[String]>,
     timing: Arc<FetchTiming>,
 }
 
@@ -194,10 +202,24 @@ impl ThreadUsage {
     }
 }
 
+/// One table as one source exports it, read at registration. Cheap to
+/// clone, for a dictionary clone that registers a source of its own.
+#[derive(Clone)]
+struct Export {
+    source: SourceRef,
+    schema: Arc<Schema>,
+    /// The column names without any `binding.` prefix, as the normalizer
+    /// resolves them.
+    columns: Arc<[String]>,
+}
+
 /// The registry of sources and their exported tables.
 #[derive(Clone, Default)]
 pub struct Dictionary {
     sources: BTreeMap<String, Registered>,
+    /// Table name → every source exporting it, in registration order.
+    /// Shared by clones until one of them registers a source.
+    tables: Arc<HashMap<String, Vec<Export>>>,
 }
 
 impl Dictionary {
@@ -211,8 +233,31 @@ impl Dictionary {
         if self.sources.contains_key(&name) {
             return Err(DictError::DuplicateSource(name));
         }
-        let timing = Arc::default();
-        self.sources.insert(name, Registered { source, timing });
+        let index = Arc::make_mut(&mut self.tables);
+        let mut tables = Vec::new();
+        for (table, schema) in source.tables() {
+            let columns = schema
+                .columns
+                .iter()
+                .map(|c| {
+                    c.name
+                        .rsplit_once('.')
+                        .map_or(c.name.clone(), |(_, b)| b.to_owned())
+                })
+                .collect();
+            tables.push(table.clone());
+            index.entry(table).or_default().push(Export {
+                source: Arc::clone(&source),
+                schema: Arc::new(schema),
+                columns,
+            });
+        }
+        let registered = Registered {
+            source,
+            tables: tables.into(),
+            timing: Arc::default(),
+        };
+        self.sources.insert(name, registered);
         Ok(())
     }
 
@@ -257,34 +302,33 @@ impl Dictionary {
         source_hint: Option<&str>,
         table: &str,
     ) -> Result<&SourceRef, DictError> {
-        if let Some(hint) = source_hint {
-            let src = self.source(hint)?;
-            if src.tables().iter().any(|(t, _)| t == table) {
-                return Ok(src);
-            }
-            return Err(DictError::UnknownTable(format!("{hint}.{table}")));
-        }
-        let mut owner = None;
-        for src in self.sources() {
-            if src.tables().iter().any(|(t, _)| t == table) {
-                if owner.is_some() {
-                    return Err(DictError::AmbiguousTable(table.to_owned()));
-                }
-                owner = Some(src);
-            }
-        }
-        owner.ok_or_else(|| DictError::UnknownTable(table.to_owned()))
+        self.export(source_hint, table).map(|e| &e.source)
     }
 
     /// Schema of a table (unambiguous or source-qualified).
-    pub fn schema_of(&self, source_hint: Option<&str>, table: &str) -> Result<Schema, DictError> {
-        let src = self.resolve_table(source_hint, table)?;
-        Ok(src
-            .tables()
-            .into_iter()
-            .find(|(t, _)| t == table)
-            .expect("resolve_table verified membership")
-            .1)
+    pub fn schema_of(&self, source_hint: Option<&str>, table: &str) -> Result<&Schema, DictError> {
+        self.export(source_hint, table).map(|e| &*e.schema)
+    }
+
+    fn export(&self, source_hint: Option<&str>, table: &str) -> Result<&Export, DictError> {
+        let exports = self.tables.get(table).map_or(&[][..], Vec::as_slice);
+        if let Some(hint) = source_hint {
+            self.registered(hint)?;
+            return exports
+                .iter()
+                .find(|e| e.source.name() == hint)
+                .ok_or_else(|| DictError::UnknownTable(format!("{hint}.{table}")));
+        }
+        match exports {
+            [only] => Ok(only),
+            [] => Err(DictError::UnknownTable(table.to_owned())),
+            _ => Err(DictError::AmbiguousTable(table.to_owned())),
+        }
+    }
+
+    /// The tables a source exports, in the order it lists them.
+    pub fn tables_of(&self, source: &str) -> Result<&[String], DictError> {
+        self.registered(source).map(|r| &*r.tables)
     }
 
     /// Every (source, table, schema) triple — the dictionary listing the
@@ -292,8 +336,11 @@ impl Dictionary {
     pub fn listing(&self) -> Vec<(String, String, Schema)> {
         let mut out = Vec::new();
         for (name, registered) in &self.sources {
-            for (table, schema) in registered.source.tables() {
-                out.push((name.clone(), table, schema));
+            for table in registered.tables.iter() {
+                let schema = self
+                    .schema_of(Some(name), table)
+                    .expect("a registered table is indexed");
+                out.push((name.clone(), table.clone(), schema.clone()));
             }
         }
         out
@@ -301,24 +348,14 @@ impl Dictionary {
 }
 
 impl SchemaLookup for Dictionary {
-    fn columns_of(&self, table: &str) -> Option<Vec<String>> {
+    fn columns_of(&self, table: &str) -> Option<Cow<'_, [String]>> {
         // Accept `source.table` qualified names too.
         let (hint, bare) = match table.split_once('.') {
             Some((s, t)) => (Some(s), t),
             None => (None, table),
         };
-        let schema = self.schema_of(hint, bare).ok()?;
-        Some(
-            schema
-                .columns
-                .iter()
-                .map(|c| {
-                    c.name
-                        .rsplit_once('.')
-                        .map_or(c.name.clone(), |(_, b)| b.to_owned())
-                })
-                .collect(),
-        )
+        let export = self.export(hint, bare).ok()?;
+        Some(Cow::Borrowed(&export.columns))
     }
 }
 
@@ -393,8 +430,11 @@ mod tests {
     fn schema_lookup_for_normalizer() {
         let mut d = Dictionary::new();
         d.register_source(source_with("s1", "t1")).unwrap();
-        assert_eq!(d.columns_of("t1"), Some(vec!["x".to_owned()]));
-        assert_eq!(d.columns_of("s1.t1"), Some(vec!["x".to_owned()]));
+        assert_eq!(d.columns_of("t1").as_deref(), Some(&["x".to_owned()][..]));
+        assert_eq!(
+            d.columns_of("s1.t1").as_deref(),
+            Some(&["x".to_owned()][..])
+        );
         assert_eq!(d.columns_of("zz"), None);
     }
 }

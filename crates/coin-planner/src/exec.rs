@@ -433,15 +433,15 @@ fn bound_select<'p>(step: &'p FetchStep, combo: &[Value]) -> Cow<'p, Select> {
 /// parameter values), the staged table still needs the schema the remote
 /// query would have produced.
 fn empty_staged(step: &FetchStep, dict: &Dictionary) -> Table {
+    let unknown = coin_rel::Schema::default();
     let schema = dict
         .schema_of(Some(step.source()), step.table())
-        .unwrap_or_default();
-    Table::new(step.binding(), project_schema(&schema, step.remote()))
+        .unwrap_or(&unknown);
+    Table::new(step.binding(), project_schema(schema, step.remote()))
 }
 
-/// The schema `remote` produces over a table of schema `base`. Also used by
-/// plan-time program warming in [`crate::optimize`].
-pub(crate) fn project_schema(base: &coin_rel::Schema, remote: &Select) -> coin_rel::Schema {
+/// The schema `remote` produces over a table of schema `base`.
+fn project_schema(base: &coin_rel::Schema, remote: &Select) -> coin_rel::Schema {
     use coin_sql::SelectItem;
     let mut cols = Vec::new();
     for item in &remote.items {

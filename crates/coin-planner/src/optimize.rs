@@ -477,14 +477,10 @@ impl Planner {
 
         let est_cost: f64 = ordered.iter().map(FetchStep::est_cost).sum();
 
-        // ---- warm the expression-program cache ---------------------------
-        // Lower every predicate/projection of the local pipeline into
-        // register-VM programs now, so repeated executions of this plan
-        // reuse them instead of re-compiling per run.
+        // The plan's expression-program cache starts empty: the first
+        // execution lowers the local pipeline's expressions into it (see
+        // `crate::exec::execute_branches`) and later ones reuse them.
         let programs = std::sync::Arc::new(coin_rel::ExprCache::new());
-        if !const_empty {
-            self.warm_programs(&ordered, &local, &programs);
-        }
 
         Ok(Plan {
             steps: ordered,
@@ -494,30 +490,6 @@ impl Planner {
             const_empty,
             derived,
         })
-    }
-
-    /// Pre-compile the local pipeline's expression programs into `cache` by
-    /// building it once over empty placeholder tables carrying the schemas
-    /// the staged fetches will produce. Best-effort: any failure (schema
-    /// lookup, normalization) just defers lowering to the first execution.
-    fn warm_programs(&self, steps: &[FetchStep], local: &Select, cache: &coin_rel::ExprCache) {
-        let mut placeholder = coin_rel::Catalog::new();
-        for step in steps {
-            let Ok(schema) = (self.dictionary).schema_of(Some(step.source()), step.table()) else {
-                return;
-            };
-            placeholder.add_table(coin_rel::Table::new(
-                step.binding(),
-                crate::exec::project_schema(&schema, step.remote()),
-            ));
-        }
-        let _ = coin_rel::build_select_pipeline_cached(
-            local,
-            &placeholder,
-            coin_rel::Feeds::new(),
-            None,
-            Some(cache),
-        );
     }
 }
 

@@ -147,9 +147,10 @@ pub struct Plan {
     pub local: Select,
     /// Total estimated cost in abstract cost units.
     pub est_cost: f64,
-    /// Compiled expression programs for the local pipeline. Warmed at plan
-    /// time so repeated executions of the same plan reuse the register-VM
-    /// programs instead of re-lowering every predicate/projection per run.
+    /// Compiled expression programs for the local pipeline. Empty at plan
+    /// time and filled by the first execution, so repeated executions of
+    /// the same plan reuse the register-VM programs instead of re-lowering
+    /// every predicate/projection per run.
     /// Cloning the plan shares the cache (it is append-only and keyed by
     /// structural expression equality).
     pub programs: std::sync::Arc<coin_rel::ExprCache>,

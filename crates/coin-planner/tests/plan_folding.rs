@@ -143,23 +143,28 @@ fn const_empty_join_stages_all_bindings_empty() {
 }
 
 #[test]
-fn plan_warms_its_expression_program_cache() {
-    // Planning alone compiles the local pipeline's predicate/projection
-    // programs into the plan-held cache; execution then reuses them.
+fn first_execution_fills_the_plan_expression_program_cache() {
+    // Planning lowers nothing; the first execution compiles the local
+    // pipeline's predicate/projection programs into the plan-held cache,
+    // and later executions reuse them: each expression is lowered once per
+    // plan.
     let planner = Planner::new(dict_with_orders(10));
     let q =
         coin_sql::parse_query("SELECT o.oid + 1 FROM orders o WHERE o.amount > 40 AND o.oid < 9")
             .unwrap();
     let plan = planner.plan_select(q.branches()[0]).unwrap();
-    let warmed = plan.programs.len();
-    assert!(warmed > 0, "plan-time warming compiled no programs");
-    // Executing the plan must not add entries — everything was pre-lowered.
+    assert_eq!(plan.programs.len(), 0, "planning lowered expressions");
     let (t, _) = coin_planner::execute_plan(&plan, &planner.dictionary).unwrap();
     assert_eq!(t.rows.len(), 4); // amounts 50..80 with oid < 9
+    let lowered = plan.programs.len();
+    assert!(lowered > 0, "the first execution cached no programs");
+    // A second execution must not add entries — everything was lowered.
+    let (t, _) = coin_planner::execute_plan(&plan, &planner.dictionary).unwrap();
+    assert_eq!(t.rows.len(), 4);
     assert_eq!(
         plan.programs.len(),
-        warmed,
-        "execution recompiled expressions the planner should have cached"
+        lowered,
+        "a second execution recompiled expressions the plan had cached"
     );
 }
 

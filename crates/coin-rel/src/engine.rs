@@ -7,6 +7,7 @@
 //! pushed-down filters, hash/nested-loop joins, aggregation, sort, limit)
 //! and drains it into a result [`Table`].
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -67,7 +68,7 @@ impl Catalog {
 }
 
 impl SchemaLookup for Catalog {
-    fn columns_of(&self, table: &str) -> Option<Vec<String>> {
+    fn columns_of(&self, table: &str) -> Option<Cow<'_, [String]>> {
         self.tables.get(table).map(|t| {
             t.schema
                 .columns

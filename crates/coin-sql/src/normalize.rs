@@ -6,6 +6,7 @@
 //! `SELECT r1.cname FROM r1` once the schema dictionary tells us `cname`
 //! belongs to `r1`.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::ast::*;
@@ -35,9 +36,10 @@ impl std::fmt::Display for NormalizeError {
 impl std::error::Error for NormalizeError {}
 
 /// Schema information provider for normalization: given a table name,
-/// return its column names (or `None` if unknown).
+/// return its column names (or `None` if unknown), borrowed where the
+/// provider keeps them as such.
 pub trait SchemaLookup {
-    fn columns_of(&self, table: &str) -> Option<Vec<String>>;
+    fn columns_of(&self, table: &str) -> Option<Cow<'_, [String]>>;
 }
 
 /// A trivial in-memory [`SchemaLookup`].
@@ -65,18 +67,20 @@ impl MapSchema {
 }
 
 impl SchemaLookup for MapSchema {
-    fn columns_of(&self, table: &str) -> Option<Vec<String>> {
-        self.tables.get(table).cloned()
+    fn columns_of(&self, table: &str) -> Option<Cow<'_, [String]>> {
+        self.tables
+            .get(table)
+            .map(|cols| Cow::Borrowed(cols.as_slice()))
     }
 }
 
 /// The binding environment of one SELECT: binding name → (table, columns).
-struct Scope {
-    bindings: Vec<(String, String, Vec<String>)>,
+struct Scope<'s> {
+    bindings: Vec<(String, String, Cow<'s, [String]>)>,
 }
 
-impl Scope {
-    fn build(from: &[TableRef], schema: &dyn SchemaLookup) -> Result<Scope, NormalizeError> {
+impl<'s> Scope<'s> {
+    fn build(from: &[TableRef], schema: &'s dyn SchemaLookup) -> Result<Scope<'s>, NormalizeError> {
         let mut bindings = Vec::new();
         for t in from {
             let cols = schema
@@ -207,7 +211,7 @@ pub fn normalize_select(s: &Select, schema: &dyn SchemaLookup) -> Result<Select,
         match item {
             SelectItem::Wildcard => {
                 for (b, _, cols) in &scope.bindings {
-                    for c in cols {
+                    for c in cols.iter() {
                         items.push(SelectItem::Expr {
                             expr: Expr::Column(ColumnRef::new(b, c)),
                             alias: None,
@@ -220,7 +224,7 @@ pub fn normalize_select(s: &Select, schema: &dyn SchemaLookup) -> Result<Select,
                 else {
                     return Err(NormalizeError::UnknownTable(q.clone()));
                 };
-                for c in cols {
+                for c in cols.iter() {
                     items.push(SelectItem::Expr {
                         expr: Expr::Column(ColumnRef::new(b, c)),
                         alias: None,

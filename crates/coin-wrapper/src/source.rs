@@ -106,7 +106,9 @@ pub trait Source: Send + Sync {
     /// The source's registered name.
     fn name(&self) -> &str;
 
-    /// Exported tables with their schemas.
+    /// Exported tables with their schemas. The listing is fixed for the
+    /// source's lifetime: the dictionary reads it once, when the source is
+    /// registered, and answers every later table lookup from that reading.
     fn tables(&self) -> Vec<(String, Schema)>;
 
     /// Capability record for the planner.

@@ -97,12 +97,11 @@ fn planner_stats_show_dependent_web_access() {
 
 #[test]
 fn logic_layer_visible_in_program_text() {
-    // The generated logic program is part of the mediation output — the
-    // "explicit codification of the implicit semantics" — and must contain
-    // the context axioms of both sources.
+    // The generated logic program — the "explicit codification of the
+    // implicit semantics" — prints on demand for any mediated query and
+    // must contain the context axioms of both sources.
     let sys = figure2_system();
-    let mediated = sys.mediate(Q1, "c_recv").unwrap();
-    let program = &mediated.program_text;
+    let program = &sys.mediation_program(Q1, "c_recv").unwrap();
     assert!(program.contains("mod_val('c_src1'"), "{program}");
     assert!(program.contains("mod_val('c_src2'"), "{program}");
     assert!(program.contains(":- abducible(eqc/2, eq)."), "{program}");
