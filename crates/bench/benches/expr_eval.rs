@@ -15,14 +15,12 @@
 //!
 //! The same expression mix drives both sides: conjunctive comparisons,
 //! arithmetic, `LIKE`, `BETWEEN`, `IN`, and a computed `CASE` projection.
-//! A ratio summary prints after the criterion runs; setting
-//! `EXPR_GATE_MIN_RATIO` (CI: `2.0`) turns a compiled/interpreted ratio
-//! below the floor into a hard failure.
+//! The compiled/interpreted ratio floor lives in
+//! `crates/bench/baseline.json`, checked by `bench_gate`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
 use coin_rel::exec::{drain, Filter, Project, TableScan};
 use coin_rel::expr::CExpr;
@@ -170,46 +168,12 @@ fn bench_expr_eval(c: &mut Criterion) {
     g.finish();
 }
 
-/// Direct wall-clock ratio at 1M rows — the acceptance headline. With
-/// `EXPR_GATE_MIN_RATIO` set (the CI bench job sets 2.0), a ratio below
-/// the floor fails the run.
-fn ratio_gate() {
-    fn measure(mut f: impl FnMut() -> usize) -> f64 {
-        // One warm-up, then best-of-3 (robust to scheduler noise).
-        black_box(f());
-        (0..3)
-            .map(|_| {
-                let t = Instant::now();
-                black_box(f());
-                t.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    let gate: Option<f64> = std::env::var("EXPR_GATE_MIN_RATIO")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    let t = table(N);
-    let ratio = measure(|| run_interpreted(&t)) / measure(|| run_compiled(&t));
-    println!("expr_eval: compiled VM {ratio:.2}x the tree walk at {N} rows");
-    if let Some(min) = gate {
-        assert!(
-            ratio >= min,
-            "expr_eval ratio {ratio:.2}x below the EXPR_GATE_MIN_RATIO={min} floor"
-        );
-    }
-}
-
-fn bench_ratio_gate(_c: &mut Criterion) {
-    ratio_gate();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .measurement_time(std::time::Duration::from_secs(3))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_expr_eval, bench_ratio_gate
+    targets = bench_expr_eval
 }
 criterion_main!(benches);

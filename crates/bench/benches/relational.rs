@@ -14,19 +14,16 @@
 //!   (`with_spill_threshold(0)` — the pre-PR strategy).
 //!
 //! `relational_serialize` measures the `/query` result-set encoding:
-//! direct [`coin_server::JsonBuf`] serialization vs building the
-//! intermediate `Json` tree.
+//! the server's row writer ([`coin_server::protocol::write_row`]) into a
+//! [`coin_server::JsonBuf`] vs building the intermediate `Json` tree.
 //!
-//! A summary with the measured new/old ratios is printed after the
-//! criterion runs; setting `REL_GATE_MIN_RATIO` (CI: `2.0`) turns the
-//! 100k-row grouped-aggregation and distinct ratios into hard failures
-//! when they regress. Also includes the spill ablation called out in
-//! DESIGN.md §5: external sort with forced disk runs vs the in-memory
-//! path.
+//! The new/old ratio floors live in `crates/bench/baseline.json`, checked
+//! by `bench_gate` over the recorded criterion means. Also includes the
+//! spill ablation called out in DESIGN.md §5: external sort with forced
+//! disk runs vs the in-memory path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use std::time::Instant;
 
 use coin_rel::exec::{
     drain, AggFn, AggSpec, Aggregate, Distinct, HashJoin, NestedLoopJoin, Sort, ValuesScan,
@@ -259,7 +256,7 @@ fn bench_distinct(c: &mut Criterion) {
 }
 
 fn bench_serialize(c: &mut Criterion) {
-    use coin_server::protocol::{table_to_json, write_table};
+    use coin_server::protocol::{table_to_json, write_row};
     use coin_server::JsonBuf;
 
     let n = 10_000usize;
@@ -288,13 +285,15 @@ fn bench_serialize(c: &mut Criterion) {
         b.iter(|| black_box(table_to_json(&table).to_string().len()))
     });
     g.bench_function("direct_buffer", |b| {
-        // The reusable-buffer path: one JsonBuf cleared between rounds.
+        // The server's row loop into one JsonBuf cleared between rounds.
         let mut buf = JsonBuf::with_capacity(1 << 20);
         b.iter(|| {
             buf.clear();
-            buf.begin_obj();
-            write_table(&table, &mut buf);
-            buf.end_obj();
+            buf.begin_arr();
+            for row in &table.rows {
+                write_row(row, &mut buf);
+            }
+            buf.end_arr();
             black_box(buf.as_str().len())
         })
     });
@@ -359,55 +358,6 @@ fn bench_sql_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
-/// Direct new/old wall-clock comparison at 100k rows — the acceptance
-/// headline, printed alongside the criterion timings. With
-/// `REL_GATE_MIN_RATIO` set (the CI bench job sets 2.0), a
-/// grouped-aggregation or distinct ratio below the floor fails the run.
-fn ratio_gate() {
-    fn measure(mut f: impl FnMut() -> usize) -> f64 {
-        // One warm-up, then best-of-3 (robust to scheduler noise).
-        black_box(f());
-        (0..3)
-            .map(|_| {
-                let t = Instant::now();
-                black_box(f());
-                t.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    let gate: Option<f64> = std::env::var("REL_GATE_MIN_RATIO")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    let n = 100_000usize;
-    let agg_data = rows(n, (n / 10) as i64, 7);
-    let dst_data = dup_rows(n, 8);
-
-    let checks = [
-        (
-            "relational_group_by",
-            measure(|| run_btree_aggregate(&agg_data)) / measure(|| run_hash_aggregate(&agg_data)),
-        ),
-        (
-            "relational_distinct",
-            measure(|| run_sort_distinct(&dst_data)) / measure(|| run_hash_distinct(&dst_data)),
-        ),
-    ];
-    for (name, ratio) in checks {
-        println!("{name}: new operator {ratio:.2}x the pre-PR baseline at {n} rows");
-        if let Some(min) = gate {
-            assert!(
-                ratio >= min,
-                "{name} ratio {ratio:.2}x below the REL_GATE_MIN_RATIO={min} floor"
-            );
-        }
-    }
-}
-
-fn bench_ratio_gate(_c: &mut Criterion) {
-    ratio_gate();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -415,6 +365,6 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(3))
         .warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_joins, bench_group_by, bench_distinct, bench_serialize,
-        bench_sort_spill_ablation, bench_sql_pipeline, bench_ratio_gate
+        bench_sort_spill_ablation, bench_sql_pipeline
 }
 criterion_main!(benches);

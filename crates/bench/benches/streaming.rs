@@ -1,6 +1,7 @@
 //! Streaming `/query` memory behavior: a large scan→filter→project
-//! result served over HTTP, streamed (chunked, the default) vs
-//! materialized (`"stream": false`).
+//! result served over HTTP, streamed (chunked, the default) vs whole
+//! (`"stream": false`: the same writer drained into one
+//! `Content-Length` body).
 //!
 //! The criterion pair times both paths end-to-end over a loopback socket
 //! with a discarding reader (`STREAM_ROWS` rows, default 1,000,000 —
@@ -8,11 +9,10 @@
 //! comparison measures the process's **peak live heap delta** for one
 //! request on each path via a counting global allocator, and asserts the
 //! memory cliff stays fixed: the streamed path's peak must be under half
-//! the materialized path's. The materialized path pays for the full
-//! result table plus its serialized body at once; the streamed path
-//! holds one row batch and the transport's bounded output buffer, so the
-//! margin is wide in practice — a factor-2 floor just keeps the gate
-//! machine-independent.
+//! the whole path's. The whole path holds the full serialized body at
+//! once; the streamed path holds one row batch and the transport's
+//! bounded output buffer, so the margin is wide in practice — a factor-2
+//! floor just keeps the gate machine-independent.
 //!
 //! The raw-socket reader is deliberate: the pooled [`HttpClient`] would
 //! reassemble the chunked body into one client-side `Vec` inside this
@@ -84,8 +84,7 @@ fn bulk_system(rows: usize) -> CoinSystem {
     // the full 128 bytes per row. That keeps the comparison honest —
     // both paths stage the scanned table (the wrapper fetch model
     // materializes pushed-down scans), and what the streamed path saves
-    // is exactly the result table + serialized body the whole path must
-    // hold at once.
+    // is exactly the serialized body the whole path must hold at once.
     let payload = Value::str(&"x".repeat(128));
     let table = Table::from_rows(
         "big",
@@ -171,7 +170,7 @@ fn bench_streaming_query(c: &mut Criterion) {
     assert!(
         streamed_peak.saturating_mul(2) <= whole_peak,
         "streamed /query peak heap ({streamed_peak} B) must stay under half the \
-         materialized path's ({whole_peak} B): the memory cliff is back"
+         whole path's ({whole_peak} B): the memory cliff is back"
     );
     server.stop();
 }

@@ -89,10 +89,21 @@ impl PlanRows {
 
 /// Execute a plan, returning the result and execution statistics.
 pub fn execute_plan(plan: &Plan, dict: &Dictionary) -> Result<(Table, ExecStats), PlanError> {
-    // Plan execution is synchronous on this thread, so the thread-local
-    // spill counters bracket exactly this query's disk activity.
+    collect(|| {
+        let (mut rows, stats) = execute_branches(std::slice::from_ref(plan), dict, None)?;
+        Ok((rows.pop().expect("one branch"), stats))
+    })
+}
+
+/// Start a row stream with `start` and drain it into a table. Execution is
+/// synchronous on this thread, so the thread-local spill counters, read
+/// before the start and after the drain, bracket exactly this query's disk
+/// activity.
+pub(crate) fn collect(
+    start: impl FnOnce() -> Result<(PlanRows, ExecStats), PlanError>,
+) -> Result<(Table, ExecStats), PlanError> {
     let spill_before = coin_rel::thread_spill_stats();
-    let (mut rows, mut stats) = execute_plan_stream(plan, dict, None)?;
+    let (mut rows, mut stats) = start()?;
     let mut out = Vec::new();
     while let Some(r) = rows.next()? {
         out.push(r);
@@ -109,22 +120,6 @@ pub fn execute_plan(plan: &Plan, dict: &Dictionary) -> Result<(Table, ExecStats)
         },
         stats,
     ))
-}
-
-/// Execute a plan's fetch steps eagerly and return the local pipeline as a
-/// row stream plus the *communication* statistics (which are final once the
-/// fetches ran). Spill statistics accrue on the pulling thread while the
-/// stream drains; callers wanting per-query spill accounting bracket the
-/// drain with [`coin_rel::thread_spill_stats`] the way [`execute_plan`]
-/// does. A supplied [`CancelToken`] stops the fetching between two waves
-/// and aborts the pipeline mid-pull.
-pub fn execute_plan_stream(
-    plan: &Plan,
-    dict: &Dictionary,
-    cancel: Option<CancelToken>,
-) -> Result<(PlanRows, ExecStats), PlanError> {
-    let (mut rows, stats) = execute_branches(std::slice::from_ref(plan), dict, cancel)?;
-    Ok((rows.pop().expect("one branch"), stats))
 }
 
 /// Fetch for all `branches` at once (see [`stage_branches`]) and build each

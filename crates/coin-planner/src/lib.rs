@@ -23,7 +23,7 @@ pub mod optimize;
 pub mod plan;
 
 pub use dictionary::{DictError, Dictionary};
-pub use exec::{execute_plan, execute_plan_stream, ExecStats, PlanRows};
+pub use exec::{execute_plan, ExecStats, PlanRows};
 pub use optimize::{Planner, PlannerConfig};
 pub use plan::{FetchStep, ParamBinding, Plan, PlanError, QueryPlan};
 
@@ -53,27 +53,7 @@ impl Planner {
     /// set semantics unless the plan came from UNION ALL or a single
     /// SELECT).
     pub fn execute_planned(&self, plan: &QueryPlan) -> Result<(Table, ExecStats), PlanError> {
-        // Bracket the drain so per-query spill accounting stays exact (the
-        // stream spills on this thread while it is pulled).
-        let spill_before = coin_rel::thread_spill_stats();
-        let (mut rows, mut stats) = self.execute_planned_stream(plan, None)?;
-        let mut out = Vec::new();
-        while let Some(r) = rows.next()? {
-            out.push(r);
-        }
-        let spilled = coin_rel::thread_spill_stats().since(&spill_before);
-        stats.spill_runs = spilled.runs_written;
-        stats.spill_bytes = spilled.bytes_spilled;
-        stats.spill_max_run_bytes = spilled.max_run_bytes;
-        let (schema, _) = rows.into_parts();
-        Ok((
-            Table {
-                name: "result".into(),
-                schema,
-                rows: out,
-            },
-            stats,
-        ))
+        exec::collect(|| self.execute_planned_stream(plan, None))
     }
 
     /// Execute a compiled [`QueryPlan`] as a row stream: the fetch steps of
@@ -83,7 +63,9 @@ impl Planner {
     /// [`ExecStats`] are final) — but local joins, residuals, the UNION
     /// merge and set-semantics deduplication all stream — nothing
     /// materializes the combined result. Spill statistics accrue on the
-    /// pulling thread (see [`exec::execute_plan_stream`]).
+    /// pulling thread while the stream drains; callers wanting per-query
+    /// spill accounting bracket the drain with
+    /// [`coin_rel::thread_spill_stats`].
     pub fn execute_planned_stream(
         &self,
         plan: &QueryPlan,

@@ -145,13 +145,6 @@ impl HttpResponse {
         HttpResponse::ok("application/json", body.to_string())
     }
 
-    /// A JSON response from an already-serialized body — the direct
-    /// serialization path ([`crate::json::JsonBuf`]) that skips the
-    /// intermediate [`crate::json::Json`] tree.
-    pub fn json_raw(body: String) -> HttpResponse {
-        HttpResponse::ok("application/json", body)
-    }
-
     pub fn html(body: &str) -> HttpResponse {
         HttpResponse::ok("text/html; charset=utf-8", body)
     }

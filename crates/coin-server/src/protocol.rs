@@ -11,10 +11,10 @@
 //!   prepared-query cache served the compile side (`"cache":
 //!   "hit"|"miss"`), the model `"epoch"`, and the cumulative
 //!   `"cache_hits"`/`"cache_misses"` counters. Result rows stream from
-//!   the operator pipeline as a chunked response by default (`"stream":
-//!   false` opts back into a single materialized body — the bytes are
-//!   identical either way); `"max_rows"`/`"max_bytes"` cap the result
-//!   and set `"truncated": true` when rows were dropped;
+//!   the operator pipeline as a chunked response by default; `"stream":
+//!   false` drains the same writer into one `Content-Length` body, so the
+//!   bytes are identical either way. `"max_rows"`/`"max_bytes"` cap the
+//!   result and set `"truncated": true` when rows were dropped;
 //! * `GET /stats` — cumulative prepared-query cache counters and the
 //!   current model epoch;
 //! * `GET /qbe`, `POST /qbe` — the HTML Query-By-Example interface
@@ -119,27 +119,19 @@ pub fn write_value(v: &Value, out: &mut JsonBuf) {
     };
 }
 
-/// Serialize a result table's `"columns"` and `"rows"` fields into an
-/// **open object** on `out` (the caller opens/closes the object and may
-/// append further fields). Replaces the per-row/per-cell [`Json`] tree of
-/// [`table_to_json`] on the `/query` response path: the whole result set
-/// is written into one reusable output buffer.
-pub fn write_table(t: &Table, out: &mut JsonBuf) {
-    write_columns_open_rows(&t.schema, out);
-    for r in &t.rows {
-        out.begin_arr();
-        for v in r {
-            write_value(v, out);
-        }
-        out.end_arr();
+/// Serialize one result row as a JSON array of tagged values: the row
+/// loop of the `/query` response writer.
+#[inline]
+pub fn write_row(row: &[Value], out: &mut JsonBuf) {
+    out.begin_arr();
+    for v in row {
+        write_value(v, out);
     }
     out.end_arr();
 }
 
 /// Write the `"columns"` field and *open* the `"rows"` array on `out`
-/// (the caller appends row arrays and closes it). Shared between the
-/// materialized writer above and the incremental [`QueryStream`], so the
-/// two produce byte-identical documents.
+/// (the caller appends row arrays and closes it).
 fn write_columns_open_rows(schema: &Schema, out: &mut JsonBuf) {
     out.key("columns").begin_arr();
     for c in &schema.columns {
@@ -150,46 +142,6 @@ fn write_columns_open_rows(schema: &Schema, out: &mut JsonBuf) {
     }
     out.end_arr();
     out.key("rows").begin_arr();
-}
-
-/// How many rows are sampled (evenly spaced) when estimating a table's
-/// serialized size.
-const SIZE_SAMPLE_ROWS: usize = 16;
-
-/// Rough serialized-size estimate for a result table, used to size the
-/// output buffer in one allocation (tag + punctuation overhead per cell
-/// plus string payloads are the dominant terms).
-///
-/// The string payload is sized from the *widest of up to
-/// [`SIZE_SAMPLE_ROWS`] evenly-spaced sample rows*, not from row 0: wide
-/// string tables whose first row happens to be narrow used to undersize
-/// the buffer badly and pay repeated reallocation-and-copy on the hot
-/// path. Taking the sampled maximum deliberately over-provisions skewed
-/// tables a little — a single allocation slightly too large beats
-/// doubling an initially too-small one.
-fn estimated_table_bytes(t: &Table) -> usize {
-    let cells: usize = t.rows.len() * t.schema.len();
-    let strings: usize = if t.rows.is_empty() {
-        0
-    } else {
-        let samples = t.rows.len().min(SIZE_SAMPLE_ROWS);
-        let step = t.rows.len() / samples;
-        let widest: usize = (0..samples)
-            .map(|i| {
-                t.rows[i * step]
-                    .iter()
-                    .map(|v| match v {
-                        Value::Str(s) => s.len(),
-                        _ => 0,
-                    })
-                    .sum::<usize>()
-            })
-            .max()
-            .unwrap_or(0);
-        widest * t.rows.len()
-    };
-    let names: usize = t.schema.columns.iter().map(|c| c.name.len()).sum();
-    256 + t.schema.len() * 32 + names + cells * 12 + strings
 }
 
 /// Encode a result table.
@@ -229,7 +181,6 @@ const STREAM_BATCH_ROWS: usize = 256;
 
 /// Row/byte caps for one `/query` response, taken from the request's
 /// optional `"max_rows"` / `"max_bytes"` fields (0 or absent = unlimited).
-#[derive(Clone, Copy, Default, PartialEq, Eq)]
 struct Limits {
     max_rows: u64,
     max_bytes: u64,
@@ -255,10 +206,6 @@ impl Limits {
             max_rows: field("max_rows")?,
             max_bytes: field("max_bytes")?,
         })
-    }
-
-    fn unlimited(&self) -> bool {
-        *self == Limits::default()
     }
 }
 
@@ -287,10 +234,10 @@ impl RowSource {
 /// Incremental `/query` response writer: pulls rows from a live operator
 /// pipeline and emits the response document one row batch at a time.
 ///
-/// Produces the exact byte sequence of the materialized path (same
-/// [`JsonBuf`] call sequence), so a chunked response reassembles to the
-/// identical body. Rows never exist in memory all at once: peak memory is
-/// one batch plus whatever the operators themselves hold.
+/// The only writer of a `/query` result document: a chunked response and
+/// a drained `"stream": false` body carry the same bytes. Rows never exist
+/// in memory all at once: peak memory is one batch plus whatever the
+/// operators themselves hold (plus, when drained, the body itself).
 struct QueryStream {
     source: RowSource,
     buf: JsonBuf,
@@ -339,11 +286,7 @@ impl QueryStream {
             let Some(row) = self.source.next()? else {
                 return self.finish();
             };
-            self.buf.begin_arr();
-            for v in &row {
-                write_value(v, &mut self.buf);
-            }
-            self.buf.end_arr();
+            write_row(&row, &mut self.buf);
             self.rows_out += 1;
             // Row-granular soft cap: the body may overshoot `max_bytes`
             // by at most one row plus the fixed tail.
@@ -392,6 +335,15 @@ impl QueryStream {
         Ok(Some(self.take_bytes()))
     }
 
+    /// The whole document in one buffer.
+    fn drain(mut self) -> Result<Vec<u8>, String> {
+        let mut body = Vec::new();
+        while let Some(chunk) = self.next_chunk()? {
+            body.extend_from_slice(&chunk);
+        }
+        Ok(body)
+    }
+
     fn take_bytes(&mut self) -> Vec<u8> {
         let chunk = self.buf.take();
         self.emitted += chunk.len() as u64;
@@ -400,8 +352,8 @@ impl QueryStream {
 }
 
 /// Package a [`QueryStream`] as either a chunked streaming response or
-/// (when the client opted out with `"stream": false`) a fully drained
-/// conventional body.
+/// (when the client opted out with `"stream": false`) the same chunks
+/// drained into one `Content-Length` body.
 fn query_stream_response(
     mut qs: QueryStream,
     stream: bool,
@@ -413,12 +365,7 @@ fn query_stream_response(
             StreamBody::new(cancel, move || qs.next_chunk()),
         ))
     } else {
-        let mut out = String::new();
-        while let Some(chunk) = qs.next_chunk()? {
-            // The machine emits UTF-8 (it writes through `JsonBuf`).
-            out.push_str(std::str::from_utf8(&chunk).expect("JsonBuf emits UTF-8"));
-        }
-        Ok(HttpResponse::json_raw(out))
+        Ok(HttpResponse::ok("application/json", qs.drain()?))
     }
 }
 
@@ -551,16 +498,6 @@ fn query_response(system: &CoinSystem, body: &str) -> Result<HttpResponse, Strin
     let limits = Limits::from_doc(&doc)?;
     match mode {
         "naive" => {
-            if !stream && limits.unlimited() {
-                // Materialized path: one table, one presized buffer.
-                let (table, stats) = system.query_naive(sql).map_err(|e| e.to_string())?;
-                let mut out = JsonBuf::with_capacity(estimated_table_bytes(&table));
-                out.begin_obj();
-                write_table(&table, &mut out);
-                out.key("remote_queries").num(stats.remote_queries as f64);
-                out.end_obj();
-                return Ok(HttpResponse::json_raw(out.into_string()));
-            }
             let flag = Arc::new(AtomicBool::new(false));
             let cancel = CancelToken::from_shared(Arc::clone(&flag));
             let (rows, stats) = system
@@ -584,27 +521,6 @@ fn query_response(system: &CoinSystem, body: &str) -> Result<HttpResponse, Strin
                     ("explanation", Json::Str(mediated.explain())),
                     ("branches", Json::Num(mediated.branches.len() as f64)),
                 ])));
-            }
-            if !stream && limits.unlimited() {
-                let answer = system.query(sql, context).map_err(|e| e.to_string())?;
-                // Result sets dominate the response; serialize them (and
-                // the provenance/statistics fields) directly into one
-                // buffer.
-                let mut out = JsonBuf::with_capacity(estimated_table_bytes(&answer.table));
-                out.begin_obj();
-                write_table(&answer.table, &mut out);
-                out.key("mediated_sql").str_val(answer.mediated.sql_text());
-                out.key("explanation")
-                    .str_val(answer.mediated.explanation());
-                out.key("remote_queries")
-                    .num(answer.stats.remote_queries as f64);
-                out.key("cache").str_val(answer.cache.as_str());
-                out.key("epoch").num(answer.stats.plan_epoch as f64);
-                out.key("cache_hits").num(answer.stats.cache_hits as f64);
-                out.key("cache_misses")
-                    .num(answer.stats.cache_misses as f64);
-                out.end_obj();
-                return Ok(HttpResponse::json_raw(out.into_string()));
             }
             let flag = Arc::new(AtomicBool::new(false));
             let cancel = CancelToken::from_shared(Arc::clone(&flag));
@@ -649,74 +565,39 @@ mod tests {
 
     #[test]
     fn direct_serialization_matches_json_tree() {
-        // The buffer-direct writer must produce a document equal to the
-        // tree-built one for every value kind, including strings needing
-        // escapes and large integers.
-        let t = Table::from_rows(
-            "x",
-            coin_rel::Schema::of(&[
-                ("n", coin_rel::ColumnType::Any),
-                ("s", coin_rel::ColumnType::Any),
-            ]),
-            vec![
-                vec![Value::Null, Value::str("plain")],
-                vec![Value::Bool(false), Value::str("esc\"ape\n通貨")],
-                vec![Value::Int((1 << 60) + 1), Value::Float(0.0096)],
-                vec![Value::Float(2.0), Value::str("")],
-            ],
-        );
-        let mut buf = JsonBuf::new();
-        buf.begin_obj();
-        write_table(&t, &mut buf);
-        buf.end_obj();
-        assert_eq!(parse(buf.as_str()).unwrap(), table_to_json(&t));
-    }
-
-    #[test]
-    fn size_estimate_covers_wide_string_tables() {
-        // Regression: string payloads used to be sized from row 0 alone,
-        // so a table whose first row happened to be narrow undersized the
-        // buffer by orders of magnitude and paid reallocation-and-copy
-        // for the whole serialization. The sampled estimate must be
-        // capacity-sufficient (>= the actual serialized size) for string
-        // tables of varying row widths.
-        let schema = coin_rel::Schema::of(&[
-            ("a", coin_rel::ColumnType::Str),
-            ("b", coin_rel::ColumnType::Str),
+        // The `/query` writer, drained over a plain row source, must carry
+        // the columns and rows of the tree-built document for every value
+        // kind: strings needing escapes, large integers, non-finite floats,
+        // across more than one row batch.
+        let schema = Schema::of(&[
+            ("n", coin_rel::ColumnType::Any),
+            ("s", coin_rel::ColumnType::Any),
         ]);
-        let narrow_first = Table::from_rows(
-            "t",
-            schema.clone(),
-            (0..400)
-                .map(|i| {
-                    let w = if i == 0 { 0 } else { 200 };
-                    vec![
-                        Value::Str("x".repeat(w).into()),
-                        Value::Str("y".repeat(w).into()),
-                    ]
-                })
-                .collect(),
-        );
-        let monotone = Table::from_rows(
-            "t",
-            schema,
-            (0..400)
-                .map(|i| vec![Value::Str("x".repeat(i).into()), Value::str("fixed")])
-                .collect(),
-        );
-        for t in [narrow_first, monotone] {
-            let mut buf = JsonBuf::new();
-            buf.begin_obj();
-            write_table(&t, &mut buf);
-            buf.end_obj();
-            let actual = buf.as_str().len();
-            let estimated = estimated_table_bytes(&t);
-            assert!(
-                estimated >= actual,
-                "estimate {estimated} under actual {actual} for {} rows",
-                t.rows.len()
-            );
+        let mut rows = vec![
+            vec![Value::Null, Value::str("plain")],
+            vec![Value::Bool(false), Value::str("esc\"ape\n通貨")],
+            vec![Value::Int((1 << 60) + 1), Value::Float(0.0096)],
+            vec![Value::Float(f64::NEG_INFINITY), Value::Float(f64::NAN)],
+            vec![Value::Float(2.0), Value::str("")],
+        ];
+        rows.extend((0..2 * STREAM_BATCH_ROWS as i64).map(|i| vec![Value::Int(i), Value::Null]));
+        let t = Table::from_rows("x", schema.clone(), rows);
+        let scan = coin_rel::exec::ValuesScan::new(schema.clone(), t.rows.clone());
+        let source = RowSource::Naive {
+            rows: PlanRows::from_parts(schema, Box::new(scan)),
+            remote_queries: 3,
+        };
+        let limits = Limits {
+            max_rows: 0,
+            max_bytes: 0,
+        };
+        let body = QueryStream::new(source, limits).drain().unwrap();
+        let doc = parse(std::str::from_utf8(&body).unwrap()).unwrap();
+        let tree = table_to_json(&t);
+        for field in ["columns", "rows"] {
+            assert_eq!(doc.get(field), tree.get(field), "{field}");
         }
+        assert_eq!(doc.get("remote_queries").and_then(Json::as_f64), Some(3.0));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Streaming `/query` e2e: chunked responses sourced straight from the
-//! operator pipeline — byte-identical to the materialized path, capped
-//! by row/byte limits, and aborted (plan cancelled, worker freed) when
-//! the client disconnects mid-stream.
+//! operator pipeline — the same bytes as the `"stream": false` body that
+//! drains the same writer, the same columns and rows as the in-process
+//! answer, capped by row/byte limits, and aborted (plan cancelled, worker
+//! freed) when the client disconnects mid-stream.
 //!
 //! The byte-identity and mid-stream-abort contracts run over the
 //! transport conformance matrix, every reactor backend × shard count
@@ -16,7 +17,9 @@ use coin_core::fixtures::figure2_system;
 use coin_core::CoinSystem;
 use coin_rel::{Catalog, ColumnType, Schema, Table, Value};
 use coin_server::http::HttpClient;
-use coin_server::{start_server_with, Connection, ServerConfig, ServerHandle};
+use coin_server::{
+    parse_json, start_server_with, table_to_json, Connection, Json, ServerConfig, ServerHandle,
+};
 use coin_wrapper::RelationalSource;
 
 #[path = "support/transport.rs"]
@@ -50,11 +53,26 @@ fn start_bulk(rows: usize, config: ServerConfig) -> ServerHandle {
     start_server_with(Arc::new(bulk_system(rows)), EPHEMERAL, config).unwrap()
 }
 
+/// Parse a `/query` body.
+fn doc(body: &[u8]) -> Json {
+    parse_json(std::str::from_utf8(body).unwrap()).unwrap()
+}
+
+/// A `/query` body carries the `columns` and `rows` of the tree-built
+/// document of the in-process answer `oracle`.
+fn assert_answers(body: &[u8], oracle: &Table) {
+    let (doc, tree) = (doc(body), table_to_json(oracle));
+    for field in ["columns", "rows"] {
+        assert_eq!(doc.get(field), tree.get(field), "{field}");
+    }
+}
+
 #[test]
 fn chunked_and_whole_naive_bodies_are_byte_identical() {
     // Byte identity is a cross-transport contract: the chunked document
     // must not vary with the loop driving it (poll or epoll, any shard
     // count).
+    let (oracle, _) = bulk_system(5_000).query_naive(BULK_SQL).unwrap();
     for case in matrix() {
         let server = start_bulk(5_000, case.apply(ServerConfig::default()));
         let mut client = HttpClient::new(server.addr);
@@ -87,10 +105,10 @@ fn chunked_and_whole_naive_bodies_are_byte_identical() {
             .unwrap();
         assert_eq!(whole.status, 200);
         assert!(whole.headers.contains_key("content-length"));
-        // The incremental writer and the materialized writer are
-        // independent code paths; the documents they produce must match
-        // byte for byte.
+        // Chunked and `Content-Length` framing carry the same document
+        // byte for byte, and it holds the in-process answer.
         assert_eq!(streamed.body, whole.body, "[{}]", case.name);
+        assert_answers(&whole.body, &oracle);
         server.stop();
     }
 }
@@ -98,8 +116,9 @@ fn chunked_and_whole_naive_bodies_are_byte_identical() {
 #[test]
 fn expression_heavy_streamed_body_is_byte_identical() {
     // CASE, LIKE, BETWEEN, NOT IN and arithmetic all ride the register-VM
-    // hot path; the chunked writer must still produce exactly the bytes of
-    // the materialized one (float rendering, -0.0, NULLs included).
+    // hot path; the chunked body must still carry exactly the bytes of the
+    // whole one and the in-process answer (float rendering, -0.0, NULLs
+    // included).
     const SQL: &str = "SELECT big.id * 2 + 1, big.id / -4.0, \
          CASE WHEN big.id < 100 THEN 'lo' ELSE big.payload END \
          FROM big \
@@ -128,6 +147,8 @@ fn expression_heavy_streamed_body_is_byte_identical() {
         .unwrap();
     assert_eq!(whole.status, 200);
     assert_eq!(streamed.body, whole.body);
+    let (oracle, _) = bulk_system(5_000).query_naive(SQL).unwrap();
+    assert_answers(&whole.body, &oracle);
     // Sanity: the predicate actually filtered (4798 survivors minus the
     // NOT IN exclusions).
     let text = String::from_utf8(streamed.body).unwrap();
@@ -170,6 +191,36 @@ fn chunked_and_whole_mediated_bodies_are_byte_identical() {
     let whole = fetch(false);
     assert!(String::from_utf8_lossy(&streamed).contains("NTT"));
     assert_eq!(streamed, whole);
+    let oracle = figure2_system().query(q, "c_recv").unwrap().table;
+    assert_answers(&whole, &oracle);
+}
+
+#[test]
+fn whole_body_with_max_rows_is_the_streamed_body() {
+    let server = start_bulk(1_000, ServerConfig::default());
+    let mut client = HttpClient::new(server.addr);
+    let mut fetch = |stream: bool| {
+        let body = format!(
+            "{{\"sql\":\"{BULK_SQL}\",\"mode\":\"naive\",\"max_rows\":10,\"stream\":{stream}}}"
+        );
+        let resp = client
+            .send("POST", "/query", Some("application/json"), body.as_bytes())
+            .unwrap();
+        assert_eq!(resp.status, 200);
+        resp
+    };
+    let streamed = fetch(true);
+    let whole = fetch(false);
+    assert!(whole.headers.contains_key("content-length"));
+    assert_eq!(streamed.body, whole.body);
+    assert_eq!(
+        doc(&whole.body).get("truncated").and_then(Json::as_bool),
+        Some(true)
+    );
+    let (mut oracle, _) = bulk_system(1_000).query_naive(BULK_SQL).unwrap();
+    oracle.rows.truncate(10);
+    assert_answers(&whole.body, &oracle);
+    server.stop();
 }
 
 #[test]

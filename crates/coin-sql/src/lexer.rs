@@ -228,7 +228,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
             }
             b'\'' => {
                 bump!();
-                let mut s = String::new();
+                let mut s = Vec::new();
                 loop {
                     if i >= bytes.len() {
                         return Err(LexError {
@@ -240,7 +240,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                     if bytes[i] == b'\'' {
                         // '' is an escaped quote.
                         if bytes.get(i + 1) == Some(&b'\'') {
-                            s.push('\'');
+                            s.push(b'\'');
                             bump!();
                             bump!();
                             continue;
@@ -248,9 +248,12 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                         bump!();
                         break;
                     }
-                    s.push(bytes[i] as char);
+                    s.push(bytes[i]);
                     bump!();
                 }
+                // The source is UTF-8 and the quotes are ASCII, so the
+                // bytes between them are UTF-8 too.
+                let s = String::from_utf8(s).expect("a quoted literal of UTF-8 source is UTF-8");
                 out.push(Spanned {
                     tok: Tok::Str(s),
                     line: tline,
@@ -326,12 +329,14 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                     col: tcol,
                 });
             }
-            other => {
+            _ => {
+                // Every token ends on an ASCII byte, so `i` starts a char.
+                let other = src[i..].chars().next().expect("i < src.len()");
                 return Err(LexError {
-                    message: format!("unexpected character {:?}", other as char),
+                    message: format!("unexpected character {other:?}"),
                     line: tline,
                     col: tcol,
-                })
+                });
             }
         }
     }
@@ -389,6 +394,14 @@ mod tests {
     }
 
     #[test]
+    fn string_keeps_non_ascii() {
+        assert_eq!(
+            toks("'Zürich' '日本''s'"),
+            vec![Tok::Str("Zürich".into()), Tok::Str("日本's".into())]
+        );
+    }
+
+    #[test]
     fn numbers() {
         assert_eq!(
             toks("42 3.75 1e3 2.5e-2"),
@@ -433,5 +446,7 @@ mod tests {
     #[test]
     fn unexpected_char_errors() {
         assert!(lex("SELECT #").is_err());
+        let e = lex("SELECT t.ä").unwrap_err();
+        assert_eq!(e.message, "unexpected character 'ä'");
     }
 }
