@@ -20,9 +20,7 @@
 //! requests/sec comparison is printed together with each configuration's
 //! `reactor_wakeups` and `interest_ops` counters — the syscall-shape
 //! evidence. Setting `SHARD_GATE_MIN_RATIO` (CI: 2.0) turns the
-//! throughput ratio into a hard failure; the same ratio is also gated
-//! machine-independently from the recorded criterion means via
-//! `crates/bench/baseline.json`. The poll disadvantage grows linearly
+//! throughput ratio into a hard failure. The poll disadvantage grows linearly
 //! with the fleet (measured on the development box: 1.4x at 256 idle
 //! conns, 2.8x at 1024, 6.2x at 4096), so the 2x CI floor holds plenty
 //! of slack at CI scale.

@@ -1,22 +1,12 @@
-//! Expression-evaluation benchmark: the register VM vs the tree walk.
+//! Expression-evaluation micro-benchmark: the register VM
+//! ([`coin_rel::ExprProg`]) behind [`Filter`] and [`Project`] over one
+//! million rows, compilation included in the measured time, as `/query`
+//! pays it once per pipeline build.
 //!
-//! PR 7 replaced the per-row recursive [`CExpr::eval`] AST walk on the
-//! streaming hot path with flat register-VM programs
-//! ([`coin_rel::ExprProg`]): no `Box` pointer chasing, short-circuit jump
-//! opcodes instead of recursion, and `LIKE` patterns compiled once instead
-//! of re-parsed per row.
-//!
-//! `expr_eval` measures a filter+project pipeline over one million rows:
-//!
-//! * `interpreted/1000000` — [`coin_rel::reference::TreeFilter`] +
-//!   [`TreeProject`], the quarantined pre-PR evaluators;
-//! * `compiled/1000000` — [`Filter`]/[`Project`] running `ExprProg`s
-//!   (compilation included in the measured time, as `/query` pays it).
-//!
-//! The same expression mix drives both sides: conjunctive comparisons,
-//! arithmetic, `LIKE`, `BETWEEN`, `IN`, and a computed `CASE` projection.
-//! The compiled/interpreted ratio floor lives in
-//! `crates/bench/baseline.json`, checked by `bench_gate`.
+//! The expression mix covers conjunctive comparisons, arithmetic, `LIKE`,
+//! `BETWEEN`, `IN`, and a computed `CASE` projection. That the VM agrees
+//! with the tree evaluator ([`CExpr::eval`]) is the property suite
+//! `coin-rel/tests/prop_expr_vm.rs`, not this bench.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -24,7 +14,6 @@ use std::sync::Arc;
 
 use coin_rel::exec::{drain, Filter, Project, TableScan};
 use coin_rel::expr::CExpr;
-use coin_rel::reference::{TreeFilter, TreeProject};
 use coin_rel::{ArithOp, BoxOp, ColumnType, ExprProg, Schema, Table, Value};
 use coin_sql::BinOp;
 use rand::rngs::StdRng;
@@ -65,8 +54,7 @@ fn cmp(l: CExpr, op: BinOp, r: CExpr) -> CExpr {
 
 /// The filter: `(name LIKE 'company-1_9%' AND v * 2 + k > 400000)
 /// OR (k BETWEEN 10 AND 13 AND k NOT IN (11, 12))`. The leading LIKE runs
-/// on every row — the tree walk re-parses the pattern each time, the VM
-/// matches a precompiled program.
+/// on every row against a precompiled pattern.
 fn predicate() -> CExpr {
     let arith = CExpr::Arith(
         b(CExpr::Arith(
@@ -133,12 +121,6 @@ fn scan(t: &Arc<Table>) -> BoxOp {
     Box::new(TableScan::new(Arc::clone(t), t.schema.clone()))
 }
 
-fn run_interpreted(t: &Arc<Table>) -> usize {
-    let f: BoxOp = Box::new(TreeFilter::new(scan(t), predicate()));
-    let p = TreeProject::new(f, projections(), out_schema());
-    drain(Box::new(p)).unwrap().len()
-}
-
 fn run_compiled(t: &Arc<Table>) -> usize {
     // Compilation is inside the measurement: the hot path pays it once per
     // pipeline build, exactly as production does.
@@ -154,14 +136,8 @@ fn run_compiled(t: &Arc<Table>) -> usize {
 
 fn bench_expr_eval(c: &mut Criterion) {
     let t = table(N);
-    // Equivalence sanity before timing anything.
-    assert_eq!(run_interpreted(&t), run_compiled(&t));
-
     let mut g = c.benchmark_group("expr_eval");
     g.throughput(Throughput::Elements(N as u64));
-    g.bench_with_input(BenchmarkId::new("interpreted", N), &N, |bch, _| {
-        bch.iter(|| black_box(run_interpreted(&t)))
-    });
     g.bench_with_input(BenchmarkId::new("compiled", N), &N, |bch, _| {
         bch.iter(|| black_box(run_compiled(&t)))
     });

@@ -1,26 +1,22 @@
-//! Relational-engine benchmarks: the local-operations substrate of the
-//! multi-database access engine (joins across sources, temporaries on the
-//! "local secondary storage").
+//! Relational-engine micro-benchmarks: the local-operations substrate of
+//! the multi-database access engine (joins across sources, temporaries on
+//! the "local secondary storage"), timed one live operator at a time.
 //!
-//! The `relational_join` / `relational_group_by` / `relational_distinct`
-//! groups measure the allocation-lean hot-path operators against their
-//! pre-optimization baselines from [`coin_rel::reference`]:
+//! * `relational_join`: the hash join on integer and on string keys, and
+//!   the nested-loop join at a small size (it is quadratic);
+//! * `relational_group_by`: the hash `Aggregate`;
+//! * `relational_distinct`: hash `Distinct` against its external-sort path
+//!   (`with_spill_threshold(0)`), both live: a distinct set too large for
+//!   memory spills;
+//! * `relational_serialize`: the server's row writer
+//!   ([`coin_server::protocol::write_row`]) into a [`coin_server::JsonBuf`];
+//! * `relational_sort`: external sort with forced disk runs against the
+//!   in-memory path;
+//! * `relational_sql`: parse, plan and run two small SQL pipelines.
 //!
-//! * `hash_join` (direct `u64` key hashing) vs `string_key` (a fresh key
-//!   `String` per build and probe row);
-//! * `Aggregate` (hash groups + one finish-time key sort) vs
-//!   `BTreeAggregate` (O(log n) full-key-vector comparisons per row);
-//! * hash `Distinct` vs the forced external-sort path
-//!   (`with_spill_threshold(0)` — the pre-PR strategy).
-//!
-//! `relational_serialize` measures the `/query` result-set encoding:
-//! the server's row writer ([`coin_server::protocol::write_row`]) into a
-//! [`coin_server::JsonBuf`] vs building the intermediate `Json` tree.
-//!
-//! The new/old ratio floors live in `crates/bench/baseline.json`, checked
-//! by `bench_gate` over the recorded criterion means. Also includes the
-//! spill ablation called out in DESIGN.md §5: external sort with forced
-//! disk runs vs the in-memory path.
+//! None of these is gated: a regression that matters shows in the
+//! end-to-end `/query` benchmark (`benchmark/`), and the operators'
+//! answers are pinned by `coin-rel`'s property tests.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -29,7 +25,6 @@ use coin_rel::exec::{
     drain, AggFn, AggSpec, Aggregate, Distinct, HashJoin, NestedLoopJoin, Sort, ValuesScan,
 };
 use coin_rel::expr::CExpr;
-use coin_rel::reference::{BTreeAggregate, StringKeyHashJoin};
 use coin_rel::tempstore::{ExternalSorter, TempStore};
 use coin_rel::{execute_sql, Catalog, ColumnType, Row, Schema, Table, Value};
 use coin_sql::BinOp;
@@ -89,22 +84,8 @@ fn bench_joins(c: &mut Criterion) {
                 black_box(drain(Box::new(hj)).unwrap().len())
             })
         });
-        // The pre-PR implementation: a key String per build + probe row.
-        g.bench_with_input(BenchmarkId::new("string_key", n), &n, |b, _| {
-            b.iter(|| {
-                let hj = StringKeyHashJoin::new(
-                    scan(left.clone()),
-                    scan(right.clone()),
-                    vec![0],
-                    vec![0],
-                    None,
-                );
-                black_box(drain(Box::new(hj)).unwrap().len())
-            })
-        });
     }
-    // String-keyed join at 100k (shared-Arc<str> rows + direct hashing vs
-    // string keys built from string columns).
+    // String-keyed join at 100k (shared-Arc<str> rows, direct hashing).
     {
         let n = 100_000usize;
         let left = str_rows(n, (n / 10) as i64, 5);
@@ -113,18 +94,6 @@ fn bench_joins(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("hash_join_strkeys", n), &n, |b, _| {
             b.iter(|| {
                 let hj = HashJoin::new(
-                    scan(left.clone()),
-                    scan(right.clone()),
-                    vec![0],
-                    vec![0],
-                    None,
-                );
-                black_box(drain(Box::new(hj)).unwrap().len())
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("string_key_strkeys", n), &n, |b, _| {
-            b.iter(|| {
-                let hj = StringKeyHashJoin::new(
                     scan(left.clone()),
                     scan(right.clone()),
                     vec![0],
@@ -187,16 +156,6 @@ fn run_hash_aggregate(data: &[Row]) -> usize {
     drain(Box::new(agg)).unwrap().len()
 }
 
-fn run_btree_aggregate(data: &[Row]) -> usize {
-    let agg = BTreeAggregate::new(
-        scan(data.to_vec()),
-        vec![CExpr::Col(0)],
-        count_sum_specs(),
-        agg_schema(),
-    );
-    drain(Box::new(agg)).unwrap().len()
-}
-
 fn bench_group_by(c: &mut Criterion) {
     let mut g = c.benchmark_group("relational_group_by");
     for n in [10_000usize, 100_000] {
@@ -204,9 +163,6 @@ fn bench_group_by(c: &mut Criterion) {
         g.throughput(Throughput::Elements(n as u64));
         g.bench_with_input(BenchmarkId::new("hash", n), &n, |b, _| {
             b.iter(|| black_box(run_hash_aggregate(&data)))
-        });
-        g.bench_with_input(BenchmarkId::new("btree", n), &n, |b, _| {
-            b.iter(|| black_box(run_btree_aggregate(&data)))
         });
     }
     g.finish();
@@ -225,7 +181,7 @@ fn run_sort_distinct(data: &[Row]) -> usize {
 /// Duplicate-heavy rows for DISTINCT (the UNION-dedup workload: the same
 /// entities arriving from several sources) — ~n/100 × 16 distinct
 /// combinations, so the distinct set fits the in-memory hash set while
-/// the sort baseline still external-sorts all `n` input rows.
+/// the spill path still external-sorts all `n` input rows.
 fn dup_rows(n: usize, seed: u64) -> Vec<Row> {
     let mut rng = StdRng::seed_from_u64(seed);
     let keys = (n as i64 / 100).max(16);
@@ -247,7 +203,7 @@ fn bench_distinct(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("hash", n), &n, |b, _| {
             b.iter(|| black_box(run_hash_distinct(&data)))
         });
-        // The pre-PR path: external-sort everything, dedup adjacent.
+        // The spill path: external-sort everything, dedup adjacent.
         g.bench_with_input(BenchmarkId::new("sort", n), &n, |b, _| {
             b.iter(|| black_box(run_sort_distinct(&data)))
         });
@@ -256,7 +212,7 @@ fn bench_distinct(c: &mut Criterion) {
 }
 
 fn bench_serialize(c: &mut Criterion) {
-    use coin_server::protocol::{table_to_json, write_row};
+    use coin_server::protocol::write_row;
     use coin_server::JsonBuf;
 
     let n = 10_000usize;
@@ -281,9 +237,6 @@ fn bench_serialize(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("relational_serialize");
     g.throughput(Throughput::Elements(n as u64));
-    g.bench_function("json_tree", |b| {
-        b.iter(|| black_box(table_to_json(&table).to_string().len()))
-    });
     g.bench_function("direct_buffer", |b| {
         // The server's row loop into one JsonBuf cleared between rounds.
         let mut buf = JsonBuf::with_capacity(1 << 20);

@@ -10,10 +10,8 @@
 //! (\[SL90\]) where semantic conflicts are identified **a priori**: for every
 //! *ordered pair* of participants and every shared semantic type, an
 //! explicit conversion rule is authored. This module implements that
-//! baseline so EX-SCALE can measure both administration size (O(n²) vs
-//! O(n)) and the rewrite cost of a hand-specialized translator, and so the
-//! ablation bench can compare the general abductive rewriter against a
-//! direct rule-driven rewriter on the same scenario.
+//! baseline so that administration size can be compared, O(n²) against
+//! O(n): `examples/scalability.rs` prints both.
 
 use std::collections::BTreeMap;
 
@@ -125,25 +123,6 @@ impl PairwiseIntegration {
     }
 }
 
-/// A hand-specialized rewriter for the Figure 2 scenario: what a
-/// tightly-coupled integrator would deploy instead of the general abductive
-/// mediator. Only valid for the exact Q1 query shape; used by the ablation
-/// benchmark to price the mediator's generality.
-pub fn figure2_handwritten_rewrite() -> &'static str {
-    "SELECT r1.cname, r1.revenue FROM r1, r2 \
-     WHERE r1.currency = 'USD' AND r1.cname = r2.cname AND r1.revenue > r2.expenses \
-     UNION \
-     SELECT r1.cname, r1.revenue * 1000 * r3.rate FROM r1, r2, r3 \
-     WHERE r1.currency = 'JPY' AND r1.cname = r2.cname \
-     AND r3.fromCur = r1.currency AND r3.toCur = 'USD' \
-     AND r1.revenue * 1000 * r3.rate > r2.expenses \
-     UNION \
-     SELECT r1.cname, r1.revenue * r3.rate FROM r1, r2, r3 \
-     WHERE r1.currency <> 'USD' AND r1.currency <> 'JPY' \
-     AND r3.fromCur = r1.currency AND r3.toCur = 'USD' \
-     AND r1.cname = r2.cname AND r1.revenue * r3.rate > r2.expenses"
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,11 +179,5 @@ mod tests {
         let rule = pw.rule("c_src1", "c_recv").unwrap();
         assert_eq!(rule.scale_ratio, None, "src1's scale depends on data");
         assert!(rule.statements >= 2);
-    }
-
-    #[test]
-    fn handwritten_rewrite_parses() {
-        let q = coin_sql::parse_query(figure2_handwritten_rewrite()).unwrap();
-        assert_eq!(q.branches().len(), 3);
     }
 }

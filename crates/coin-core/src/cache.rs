@@ -55,7 +55,7 @@ pub struct CacheStats {
     /// cold misses on one key.
     pub compiles: u64,
     /// Entries dropped because a model mutation touched one of their
-    /// recorded dependencies (or an explicit purge dropped them).
+    /// recorded dependencies.
     pub invalidations: u64,
     /// Entries dropped to respect the capacity bound.
     pub evictions: u64,
@@ -392,18 +392,6 @@ impl QueryCache {
         inner.len -= victims.len();
         inner.invalidations += victims.len() as u64;
         victims
-    }
-
-    /// Drop every entry unconditionally (the pre-dependency-tracking
-    /// "epoch hammer", kept as an explicit administrative control and as
-    /// the baseline the invalidation bench compares against).
-    pub fn purge(&self) {
-        let mut inner = self.lock();
-        inner.invalidations += inner.len as u64;
-        inner.len = 0;
-        let victims = std::mem::take(&mut inner.map);
-        drop(inner);
-        drop(victims);
     }
 
     /// Change the capacity bound, evicting LRU entries down to the new

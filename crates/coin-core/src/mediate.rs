@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 
-use coin_logic::{CmpOp, Literal, Program, Solver, SolverConfig, Sym, Term};
+use coin_logic::{CmpOp, Literal, Program, Solver, SolverConfig, SolverLimit, Sym, Term};
 use coin_rel::Value;
 use coin_sql::normalize::SchemaLookup;
 use coin_sql::{BinOp, ColumnRef, Expr, Query, Select, SelectItem, TableRef};
@@ -52,6 +52,10 @@ pub enum MediationError {
     Unsupported(String),
     /// Decoding an abductive answer back to SQL failed (internal).
     Decode(String),
+    /// A solver limit cut the enumeration of cases short, so the mediated
+    /// union would miss cases: an incomplete answer is refused, never
+    /// returned.
+    Truncated(SolverLimit),
 }
 
 impl std::fmt::Display for MediationError {
@@ -62,6 +66,11 @@ impl std::fmt::Display for MediationError {
             MediationError::Normalize(e) => write!(f, "{e}"),
             MediationError::Unsupported(m) => write!(f, "mediation does not support: {m}"),
             MediationError::Decode(m) => write!(f, "internal decode error: {m}"),
+            MediationError::Truncated(limit) => write!(
+                f,
+                "mediation stopped at the solver's {limit}; \
+                 the mediated answer would be incomplete"
+            ),
         }
     }
 }
@@ -165,7 +174,8 @@ pub struct Mediator<'a> {
     pub conversions: &'a ConversionRegistry,
     pub contexts: &'a BTreeMap<String, ContextTheory>,
     pub elevations: &'a ElevationRegistry,
-    /// Solver bounds (mediation programs are small; defaults are ample).
+    /// Solver bounds. An enumeration they cut short fails with
+    /// [`MediationError::Truncated`] instead of returning fewer cases.
     pub solver_config: SolverConfig,
 }
 
@@ -217,6 +227,9 @@ impl<'a> Mediator<'a> {
         let nvars = (referenced.len() + s.items.len()) as u32;
         let solver = Solver::with_config(enc.program(), self.solver_config);
         let answers = solver.all_answers(&goals, nvars);
+        if let Some(limit) = solver.truncated_by() {
+            return Err(MediationError::Truncated(limit));
+        }
         if answers.is_empty() {
             // No consistent case exists — the query is provably empty
             // (e.g. a ground-false predicate, or contradictory context

@@ -483,15 +483,6 @@ impl CoinSystem {
         self.cache.set_capacity(capacity);
     }
 
-    /// Drop every cached plan unconditionally — the old "epoch hammer"
-    /// behavior, kept as an explicit operational control (and as the
-    /// baseline the invalidation bench measures fine-grained eviction
-    /// against). Normal administration never needs this: the `add_*`
-    /// methods already evict exactly the dependent plans.
-    pub fn purge_plan_cache(&self) {
-        self.cache.purge();
-    }
-
     /// The full pipeline: mediate, plan, execute, and (if the receiver's
     /// query had aggregation/ordering above the conjunctive core) apply the
     /// outer operations over the mediated result.

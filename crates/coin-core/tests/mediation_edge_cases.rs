@@ -244,3 +244,35 @@ fn like_in_where_rejected_with_clear_error() {
         .unwrap_err();
     assert!(err.to_string().contains("LIKE"), "{err}");
 }
+
+/// `SELECT a0.revenue, …, a6.revenue FROM r1 a0, …, r1 a6`: each `r1`
+/// instance splits into three cases, so the union needs 3^7 branches, past
+/// the mediator's answer limit. The answer must be whole (128 rows, as
+/// naive execution returns) or a typed error naming the limit — never the
+/// 64 rows a silently cut union returned.
+#[test]
+fn a_self_join_past_the_answer_limit_is_whole_or_an_error() {
+    let sys = figure2_system();
+    let k = 7;
+    let items: Vec<String> = (0..k).map(|i| format!("a{i}.revenue")).collect();
+    let from: Vec<String> = (0..k).map(|i| format!("r1 a{i}")).collect();
+    let sql = format!("SELECT {} FROM {}", items.join(", "), from.join(", "));
+    let (naive, _) = sys.query_naive(&sql).unwrap();
+    assert_eq!(naive.rows.len(), 128);
+    match sys.query(&sql, "c_recv") {
+        Ok(answer) => assert_eq!(answer.table.rows.len(), 128),
+        Err(e) => {
+            let message = e.to_string();
+            assert!(
+                matches!(
+                    e,
+                    coin_core::CoinError::Mediation(coin_core::MediationError::Truncated(
+                        coin_logic::SolverLimit::Answers(512)
+                    ))
+                ),
+                "{message}"
+            );
+            assert!(message.contains("max_answers limit of 512"), "{message}");
+        }
+    }
+}

@@ -55,6 +55,6 @@ pub use clause::{Clause, KnowledgeBase, Literal};
 pub use constraint::{CmpOp, Constraint, ConstraintStore};
 pub use parser::{parse_goals, parse_program, parse_term_str, Item, ParseError};
 pub use program::{GroundSemantics, Program, ProgramError};
-pub use solver::{Answer, NamedAnswer, SolveError, Solver, SolverConfig};
+pub use solver::{Answer, NamedAnswer, SolveError, Solver, SolverConfig, SolverLimit};
 pub use symbol::Sym;
 pub use term::{Term, Var};

@@ -14,9 +14,10 @@
 //! * enumeration of *all* abductive answers — each answer (bindings + Δ +
 //!   residual constraints) becomes one sub-query of the mediated union.
 //!
-//! The solver is bounded: a configurable depth limit turns runaway
-//! derivations into silent branch failures and sets a `truncated` flag the
-//! caller can inspect.
+//! The solver is bounded: depth, abduction and answer limits cut runaway
+//! enumerations short, and every cut records which [`SolverLimit`] it hit
+//! ([`Solver::truncated_by`]), so a caller never mistakes a cut
+//! enumeration for a complete one.
 
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -40,6 +41,29 @@ pub struct SolverConfig {
     pub max_answers: usize,
     /// Maximum size of the hypothesis set Δ on any branch.
     pub max_abductions: usize,
+}
+
+/// The [`SolverConfig`] bound that cut an enumeration short, with its
+/// value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SolverLimit {
+    /// A branch passed [`SolverConfig::max_depth`].
+    Depth(usize),
+    /// [`SolverConfig::max_answers`] answers were found and more remained.
+    Answers(usize),
+    /// A branch needed more than [`SolverConfig::max_abductions`]
+    /// hypotheses.
+    Abductions(usize),
+}
+
+impl std::fmt::Display for SolverLimit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SolverLimit::Depth(n) => write!(f, "max_depth limit of {n}"),
+            SolverLimit::Answers(n) => write!(f, "max_answers limit of {n}"),
+            SolverLimit::Abductions(n) => write!(f, "max_abductions limit of {n}"),
+        }
+    }
 }
 
 impl Default for SolverConfig {
@@ -221,7 +245,7 @@ struct Mode {
 pub struct Solver<'p> {
     program: &'p Program,
     config: SolverConfig,
-    truncated: Cell<bool>,
+    truncated: Cell<Option<SolverLimit>>,
 }
 
 impl<'p> Solver<'p> {
@@ -229,7 +253,7 @@ impl<'p> Solver<'p> {
         Solver {
             program,
             config: SolverConfig::default(),
-            truncated: Cell::new(false),
+            truncated: Cell::new(None),
         }
     }
 
@@ -237,13 +261,19 @@ impl<'p> Solver<'p> {
         Solver {
             program,
             config,
-            truncated: Cell::new(false),
+            truncated: Cell::new(None),
         }
     }
 
-    /// Did any branch hit the depth or abduction limit?
-    pub fn was_truncated(&self) -> bool {
+    /// The limit that cut an enumeration short, if any did: a derivation
+    /// that passed the depth or abduction limit, or an answer found past
+    /// `max_answers`.
+    pub fn truncated_by(&self) -> Option<SolverLimit> {
         self.truncated.get()
+    }
+
+    fn cut(&self, limit: SolverLimit) {
+        self.truncated.set(Some(limit));
     }
 
     /// Enumerate all abductive answers to `goals` (deduplicated up to
@@ -268,15 +298,18 @@ impl<'p> Solver<'p> {
                     constraints: st.constraints.resolved(&st.bindings),
                 };
                 let canon = ans.canonical();
-                if !seen.contains(&canon) {
-                    seen.push(canon);
-                    out.push(ans);
+                if seen.contains(&canon) {
+                    return Ctl::Continue;
                 }
-                if out.len() >= max {
-                    Ctl::Stop
-                } else {
-                    Ctl::Continue
+                if out.len() == max {
+                    // A distinct answer past the limit: the enumeration is
+                    // incomplete, not merely full.
+                    self.cut(SolverLimit::Answers(max));
+                    return Ctl::Stop;
                 }
+                seen.push(canon);
+                out.push(ans);
+                Ctl::Continue
             },
         );
         out
@@ -344,7 +377,7 @@ impl<'p> Solver<'p> {
         emit: &mut dyn FnMut(&mut State) -> Ctl,
     ) -> Ctl {
         if depth > self.config.max_depth {
-            self.truncated.set(true);
+            self.cut(SolverLimit::Depth(self.config.max_depth));
             return Ctl::Continue;
         }
         let Some((first, rest)) = goals.split_first() else {
@@ -503,7 +536,7 @@ impl<'p> Solver<'p> {
             return Ctl::Continue;
         }
         if state.delta.len() >= self.config.max_abductions {
-            self.truncated.set(true);
+            self.cut(SolverLimit::Abductions(self.config.max_abductions));
             return Ctl::Continue;
         }
 
@@ -928,7 +961,7 @@ mod tests {
             },
         );
         assert!(s.query("loop(1)").unwrap().is_empty());
-        assert!(s.was_truncated());
+        assert_eq!(s.truncated_by(), Some(SolverLimit::Depth(50)));
     }
 
     #[test]
@@ -944,7 +977,7 @@ mod tests {
                 },
             );
             assert_eq!(s.query("a").unwrap().len(), usize::from(provable));
-            assert_eq!(s.was_truncated(), !provable);
+            assert_eq!(s.truncated_by().is_some(), !provable);
         }
     }
 
@@ -1010,5 +1043,21 @@ mod tests {
             },
         );
         assert_eq!(s.query("nat(X)").unwrap().len(), 2);
+        assert_eq!(s.truncated_by(), Some(SolverLimit::Answers(2)));
+    }
+
+    #[test]
+    fn max_answers_reached_exactly_is_not_a_cut() {
+        let p = Program::from_source("nat(0). nat(1). nat(1).").unwrap();
+        let s = Solver::with_config(
+            &p,
+            SolverConfig {
+                max_answers: 2,
+                ..SolverConfig::default()
+            },
+        );
+        // Two distinct answers (the duplicate is deduplicated, not counted).
+        assert_eq!(s.query("nat(X)").unwrap().len(), 2);
+        assert_eq!(s.truncated_by(), None);
     }
 }

@@ -26,8 +26,8 @@
 //! * **ordering** — steps run dependencies-first, cheapest-first, and the
 //!   local join order follows ascending estimated cardinality.
 //!
-//! Every decision is individually switchable through [`PlannerConfig`] for
-//! the ablation benchmarks (EX-PLAN).
+//! Every decision is individually switchable through [`PlannerConfig`], so
+//! the planner tests can compare each one switched off against on.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -18,7 +18,7 @@
 //!   files and an external merge sorter with bounded memory, with per-store
 //!   and per-thread spill accounting;
 //! * [`mod@reference`] — the pre-optimization operator implementations,
-//!   kept as equivalence-test and benchmark baselines;
+//!   kept as equivalence-test oracles;
 //! * [`engine`] — a per-source SQL processor: parse → normalize → operator
 //!   tree → result table, with filter pushdown and equi-join detection.
 //!

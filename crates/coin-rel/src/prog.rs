@@ -29,8 +29,8 @@
 //!   evaluator would have skipped — including their errors.
 //! * `LIKE` patterns compile to a [`LikeProg`] (segment tokens with
 //!   coalesced literals) held in the program's pattern pool; matching is
-//!   allocation-free `str` slicing instead of the per-row `Vec<char>`
-//!   rebuild in [`sql_like`](crate::value::sql_like). `coin-pattern`'s Pike
+//!   allocation-free `str` slicing in O(text × pattern), instead of a
+//!   per-row compile in [`sql_like`](crate::value::sql_like). `coin-pattern`'s Pike
 //!   VM was considered and rejected here: it allocates thread lists and a
 //!   decoded char buffer per match, which is exactly the per-row cost this
 //!   pass removes; LIKE's two metacharacters don't need NFA generality.
@@ -121,9 +121,9 @@ pub enum Op {
 
 /// A compiled SQL `LIKE` pattern: literal segments interleaved with
 /// single-character (`_`) and any-run (`%`) wildcards. Matching slices the
-/// haystack `&str` directly — no per-row allocation, unlike
-/// [`sql_like`](crate::value::sql_like) which decodes both sides into
-/// `Vec<char>` on every call.
+/// haystack `&str` directly, with no per-row allocation. It is the only
+/// `LIKE` matcher: [`sql_like`](crate::value::sql_like) compiles one per
+/// call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LikeProg {
     toks: Vec<LikeTok>,
@@ -168,42 +168,49 @@ impl LikeProg {
         LikeProg { toks }
     }
 
-    /// Does `text` match the pattern? Equivalent to
-    /// `sql_like(text, pattern)` (property-tested).
+    /// Does `text` match the pattern? Literal runs and `_` advance in
+    /// step with the text; at a mismatch the match resumes one character
+    /// past where the last `%` last resumed. A later `%` replaces that
+    /// backtrack point, since what matched before it can stay as it is.
+    /// So the cost is O(text × pattern), whatever the wildcards.
     pub fn matches(&self, text: &str) -> bool {
-        Self::rec(&self.toks, text)
-    }
-
-    fn rec(toks: &[LikeTok], t: &str) -> bool {
-        match toks.first() {
-            None => t.is_empty(),
-            Some(LikeTok::Lit(l)) => match t.strip_prefix(l.as_ref()) {
-                Some(rest) => Self::rec(&toks[1..], rest),
-                None => false,
-            },
-            Some(LikeTok::One) => {
-                let mut cs = t.chars();
-                cs.next().is_some() && Self::rec(&toks[1..], cs.as_str())
-            }
-            Some(LikeTok::Many) => {
-                let rest = &toks[1..];
-                if rest.is_empty() {
-                    return true; // trailing % swallows everything
+        let toks = &self.toks;
+        let (mut i, mut t) = (0, text);
+        // (token after the last `%`, text from where that `%` stops).
+        let mut back: Option<(usize, &str)> = None;
+        loop {
+            match toks.get(i) {
+                Some(LikeTok::Many) if i + 1 == toks.len() => return true,
+                Some(LikeTok::Many) => {
+                    i += 1;
+                    back = Some((i, t));
+                    continue;
                 }
-                // Try every suffix iteratively; recursion depth stays
-                // bounded by the number of wildcard tokens, not text length.
-                let mut s = t;
-                loop {
-                    if Self::rec(rest, s) {
-                        return true;
+                Some(LikeTok::Lit(l)) => {
+                    if let Some(rest) = t.strip_prefix(l.as_ref()) {
+                        (i, t) = (i + 1, rest);
+                        continue;
                     }
-                    let mut cs = s.chars();
-                    if cs.next().is_none() {
-                        return false;
-                    }
-                    s = cs.as_str();
                 }
+                Some(LikeTok::One) => {
+                    let mut cs = t.chars();
+                    if cs.next().is_some() {
+                        (i, t) = (i + 1, cs.as_str());
+                        continue;
+                    }
+                }
+                None if t.is_empty() => return true,
+                None => {}
             }
+            let Some((resume, swallowed)) = back else {
+                return false;
+            };
+            let mut cs = swallowed.chars();
+            if cs.next().is_none() {
+                return false;
+            }
+            (i, t) = (resume, cs.as_str());
+            back = Some((resume, t));
         }
     }
 }
@@ -1088,35 +1095,65 @@ mod tests {
     }
 
     #[test]
-    fn like_prog_equivalent_to_sql_like() {
+    fn like_prog_matches_fixed_cases() {
         let cases = [
-            ("NTT", "N%"),
-            ("NTT", "%T"),
-            ("NTT", "N_T"),
-            ("NTT", "N_"),
-            ("", "%"),
-            ("", "_"),
-            ("", ""),
-            ("abc", "abc"),
-            ("a%c", "a%c"),
-            ("International Business Machines", "%Business%"),
-            ("aaab", "%aab"),
-            ("aaab", "a%a%b"),
-            ("banana", "%an%an%"),
-            ("banana", "%ana%ana%"),
-            ("xyz", "%%%"),
-            ("xyz", "___"),
-            ("xyz", "____"),
-            ("日本電信電話", "日%話"),
-            ("日本電信電話", "_本%"),
+            ("NTT", "N%", true),
+            ("NTT", "%T", true),
+            ("NTT", "N_T", true),
+            ("NTT", "N_", false),
+            ("", "%", true),
+            ("", "_", false),
+            ("", "", true),
+            ("abc", "abc", true),
+            ("a%c", "a%c", true),
+            ("International Business Machines", "%Business%", true),
+            ("aaab", "%aab", true),
+            ("aaab", "a%a%b", true),
+            ("aaab", "a%a%a%a%b", false),
+            ("banana", "%an%an%", true),
+            ("banana", "%ana%ana%", false),
+            ("xyz", "%%%", true),
+            ("xyz", "___", true),
+            ("xyz", "____", false),
+            ("xyz", "%y", false),
+            ("日本電信電話", "日%話", true),
+            ("日本電信電話", "_本%", true),
+            ("日本電信電話", "%電_", true),
         ];
-        for (text, pat) in cases {
+        for (text, pat, expected) in cases {
             assert_eq!(
                 LikeProg::compile(pat).matches(text),
-                sql_like(text, pat),
+                expected,
                 "text={text:?} pat={pat:?}"
             );
+            assert_eq!(sql_like(text, pat), expected, "text={text:?} pat={pat:?}");
         }
+    }
+
+    /// k = 20 `%_` pairs against 200 characters that never match: a matcher
+    /// that tries every suffix at each `%` needs about 3^k steps here. The
+    /// match runs on its own thread so that such a matcher fails the test
+    /// instead of hanging it.
+    #[test]
+    fn like_with_many_wildcards_answers_in_linear_time() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let prog = LikeProg::compile(&format!("{}Z", "%_".repeat(20)));
+            let text = "International Business Machines ".repeat(7)[..200].to_owned();
+            let best = (0..5)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    assert!(!prog.matches(&text));
+                    t0.elapsed()
+                })
+                .min()
+                .unwrap();
+            tx.send(best).unwrap();
+        });
+        let best = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("LIKE with 20 wildcard pairs took more than 10 s");
+        assert!(best < std::time::Duration::from_millis(1), "took {best:?}");
     }
 
     #[test]

@@ -1,26 +1,18 @@
-//! Pre-optimization reference operators.
+//! Pre-optimization reference operators, kept as test oracles.
 //!
 //! These are the execution-hot-path implementations that shipped before the
 //! allocation-lean rework of [`crate::exec`]: a hash join keyed by
 //! materialized key *strings* and a BTreeMap-based aggregation performing
-//! O(log n) full-key-vector comparisons per input row. They are retained —
-//! quarantined here, out of the production module — for two purposes only:
+//! O(log n) full-key-vector comparisons per input row. Nothing in the
+//! production pipeline constructs them. Their one use is equivalence
+//! testing: `tests/prop_equivalence.rs` drives the same seeded inputs
+//! through the new and old operators and asserts identical results.
 //!
-//! * **equivalence testing**: property tests drive the same seeded inputs
-//!   through the new and old operators and assert identical results;
-//! * **benchmarking**: the `relational_*` criterion benches measure the new
-//!   operators against these baselines, which is what the bench-trajectory
-//!   regression gate tracks.
-//!
-//! Nothing in the production pipeline constructs them. The sort-based
-//! `DISTINCT` baseline needs no copy: `Distinct::with_spill_threshold(0)`
-//! forces exactly the old external-sort path.
-//!
-//! [`TreeFilter`] and [`TreeProject`] joined in PR 7: the recursive
-//! [`CExpr::eval`] tree walk was replaced on the hot path by the register
-//! VM of [`crate::prog`], and these keep the AST-walking evaluation alive
-//! as the reference semantics the VM is property-tested against (and the
-//! `expr_eval` bench's interpreted baseline).
+//! The sort-based `DISTINCT` needs no copy here:
+//! `Distinct::with_spill_threshold(0)` forces the external-sort path, which
+//! is live code. The tree-walk expression evaluator needs none either:
+//! [`crate::expr::CExpr::eval`] is the reference semantics the register VM
+//! is property-tested against.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -28,75 +20,6 @@ use crate::exec::{drain, AggSpec, BoxOp, ExecError, Operator};
 use crate::expr::CExpr;
 use crate::schema::{Row, Schema};
 use crate::value::Value;
-
-/// The pre-PR-7 filter: evaluates its predicate with the recursive
-/// [`CExpr::eval`] tree walk on every row (per-row `Box` pointer chasing,
-/// per-row `LIKE` pattern re-parse) instead of the compiled
-/// [`crate::prog::ExprProg`].
-pub struct TreeFilter {
-    input: BoxOp,
-    predicate: CExpr,
-}
-
-impl TreeFilter {
-    pub fn new(input: BoxOp, predicate: CExpr) -> TreeFilter {
-        TreeFilter { input, predicate }
-    }
-}
-
-impl Operator for TreeFilter {
-    fn schema(&self) -> &Schema {
-        self.input.schema()
-    }
-
-    fn next(&mut self) -> Result<Option<Row>, ExecError> {
-        while let Some(row) = self.input.next()? {
-            if self.predicate.matches(&row)? {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-}
-
-/// The pre-PR-7 projection: one recursive tree walk per output expression
-/// per row.
-pub struct TreeProject {
-    input: BoxOp,
-    exprs: Vec<CExpr>,
-    schema: Schema,
-}
-
-impl TreeProject {
-    pub fn new(input: BoxOp, exprs: Vec<CExpr>, schema: Schema) -> TreeProject {
-        assert_eq!(exprs.len(), schema.len());
-        TreeProject {
-            input,
-            exprs,
-            schema,
-        }
-    }
-}
-
-impl Operator for TreeProject {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<Row>, ExecError> {
-        match self.input.next()? {
-            Some(row) => {
-                let out = self
-                    .exprs
-                    .iter()
-                    .map(|e| e.eval(&row))
-                    .collect::<Result<Row, _>>()?;
-                Ok(Some(out))
-            }
-            None => Ok(None),
-        }
-    }
-}
 
 /// Hash key for a set of values: a canonical string encoding (the pre-PR
 /// strategy). Numeric values are widened so `Int(2)` and `Float(2.0)` hash

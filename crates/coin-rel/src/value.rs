@@ -251,21 +251,10 @@ impl std::fmt::Display for ValueError {
 impl std::error::Error for ValueError {}
 
 /// SQL `LIKE` pattern matching: `%` matches any run, `_` one character.
+/// Compiles the pattern on every call; a per-row caller holds a
+/// [`LikeProg`](crate::prog::LikeProg) instead.
 pub fn sql_like(text: &str, pattern: &str) -> bool {
-    fn rec(t: &[char], p: &[char]) -> bool {
-        match p.first() {
-            None => t.is_empty(),
-            Some('%') => {
-                // Match zero or more characters.
-                (0..=t.len()).any(|i| rec(&t[i..], &p[1..]))
-            }
-            Some('_') => !t.is_empty() && rec(&t[1..], &p[1..]),
-            Some(c) => t.first() == Some(c) && rec(&t[1..], &p[1..]),
-        }
-    }
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    rec(&t, &p)
+    crate::prog::LikeProg::compile(pattern).matches(text)
 }
 
 #[cfg(test)]

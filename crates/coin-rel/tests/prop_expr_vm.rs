@@ -5,14 +5,14 @@
 //! the reference semantics. These properties drive randomly generated
 //! expression trees — nulls, `-0.0`, division by zero, type mismatches,
 //! overflow-widening arithmetic, short-circuit side conditions — over
-//! random rows and require the VM, the constant folder, and the compiled
-//! `LIKE` matcher to reproduce the tree's `Result` **exactly**, including
-//! which error wins and float bit patterns — also when the VM reads its row
-//! as a join's two input rows.
+//! random rows and require the VM and the constant folder to reproduce the
+//! tree's `Result` **exactly**, including which error wins and float bit
+//! patterns — also when the VM reads its row as a join's two input rows.
+//! The one `LIKE` matcher, which both evaluators call, is checked against
+//! an independent dynamic-programming table.
 
 use coin_rel::expr::{CExpr, ScalarFn};
 use coin_rel::prog::{fold, ExprProg, Joined, LikeProg};
-use coin_rel::value::sql_like;
 use coin_rel::{ArithOp, Row, Value, ValueError};
 use coin_sql::BinOp;
 use proptest::prelude::*;
@@ -262,17 +262,35 @@ proptest! {
         prop_assert_eq!(once, twice);
     }
 
-    /// The precompiled LIKE matcher agrees with the per-call interpreter
-    /// on every (pattern, text) pair.
+    /// The LIKE matcher agrees with an independent dynamic-programming
+    /// table on every (pattern, text) pair.
     #[test]
-    fn like_prog_equals_sql_like(pattern in arb_pattern(), text in "[abc_%]{0,8}") {
-        let prog = LikeProg::compile(&pattern);
+    fn like_prog_equals_like_table(pattern in arb_pattern(), text in "[abc_%]{0,12}") {
         prop_assert_eq!(
-            prog.matches(&text),
-            sql_like(&text, &pattern),
+            LikeProg::compile(&pattern).matches(&text),
+            like_by_table(&text, &pattern),
             "pattern {:?} text {:?}", pattern, text
         );
     }
+}
+
+/// SQL `LIKE` by the O(text × pattern) table: `m[i][j]` says whether the
+/// first `i` pattern characters match the first `j` text characters.
+fn like_by_table(text: &str, pattern: &str) -> bool {
+    let t: Vec<char> = text.chars().collect();
+    let p: Vec<char> = pattern.chars().collect();
+    let mut m = vec![vec![false; t.len() + 1]; p.len() + 1];
+    m[0][0] = true;
+    for i in 1..=p.len() {
+        for j in 0..=t.len() {
+            m[i][j] = match p[i - 1] {
+                '%' => m[i - 1][j] || (j > 0 && m[i][j - 1]),
+                '_' => j > 0 && m[i - 1][j - 1],
+                c => j > 0 && t[j - 1] == c && m[i - 1][j - 1],
+            };
+        }
+    }
+    m[p.len()][t.len()]
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 //! The prototype tunnels its ODBC-family protocol through HTTP (paper §2).
 //! Requests and responses are JSON documents; this module provides the
 //! value type, a recursive-descent parser and a serializer — self-contained
-//! so the repository carries no serialization dependencies.
+//! so the repository carries no serialization dependencies. Arrays and
+//! objects nest at most [`MAX_NESTING`] levels deep, so a request body
+//! cannot drive the parser into a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -81,9 +83,14 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deep arrays and objects may nest before parsing fails.
+pub const MAX_NESTING: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -125,58 +132,76 @@ impl<'a> Parser<'a> {
             Some(b't') => self.keyword("true", Json::Bool(true)),
             Some(b'f') => self.keyword("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b'[') => {
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_NESTING {
+                    return Err(self.err(format!(
+                        "arrays and objects nested deeper than {MAX_NESTING} levels"
+                    )));
+                }
+                self.depth += 1;
                 self.pos += 1;
-                let mut out = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
+                let v = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                v
+            }
+            Some(_) => self.parse_number(),
+        }
+    }
+
+    /// The rest of an array, after its `[`.
+    fn parse_array(&mut self) -> Result<Json, JsonError> {
+        let mut out = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(out));
+        }
+        loop {
+            out.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                }
+                Some(b']') => {
                     self.pos += 1;
                     return Ok(Json::Arr(out));
                 }
-                loop {
-                    out.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(out));
-                        }
-                        _ => return Err(self.err("expected , or ]")),
-                    }
-                }
+                _ => return Err(self.err("expected , or ]")),
             }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut out = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
+        }
+    }
+
+    /// The rest of an object, after its `{`.
+    fn parse_object(&mut self) -> Result<Json, JsonError> {
+        let mut out = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(out));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let val = self.parse_value()?;
+            out.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                }
+                Some(b'}') => {
                     self.pos += 1;
                     return Ok(Json::Obj(out));
                 }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let val = self.parse_value()?;
-                    out.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(out));
-                        }
-                        _ => return Err(self.err("expected , or }")),
-                    }
-                }
+                _ => return Err(self.err("expected , or }")),
             }
-            Some(_) => self.parse_number(),
         }
     }
 
@@ -280,6 +305,7 @@ pub fn parse(src: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.parse_value()?;
     p.skip_ws();
@@ -595,6 +621,18 @@ mod tests {
         assert!(parse("01x").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&arrays(MAX_NESTING)).is_ok());
+        let e = parse(&arrays(MAX_NESTING + 1)).unwrap_err();
+        assert!(e.message.contains("deeper than 64"), "{e}");
+        assert!(parse(&arrays(20_000)).is_err());
+        let objects = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        assert!(parse(&objects(MAX_NESTING)).is_ok());
+        assert!(parse(&objects(MAX_NESTING + 1)).is_err());
     }
 
     #[test]

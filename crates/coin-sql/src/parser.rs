@@ -4,9 +4,19 @@
 //! accepted and desugared into the comma-join + WHERE form that the paper's
 //! example queries use, so downstream components (mediator, planner) only
 //! ever see one FROM representation.
+//!
+//! Expressions nest at most [`MAX_NESTING`] levels deep (parentheses,
+//! function arguments, `CASE` parts, `NOT` and unary minus each add one),
+//! so nesting in request bytes cannot drive the parser into a stack
+//! overflow. A chain of binary operators is parsed by a loop, not by
+//! recursion, and is not counted: it still builds a tree as deep as the
+//! chain is long.
 
 use crate::ast::*;
 use crate::lexer::{lex, LexError, Spanned, Tok};
+
+/// How deep expressions may nest before parsing fails with an [`SqlError`].
+pub const MAX_NESTING: usize = 128;
 
 /// Parse error with position information.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,7 +51,11 @@ impl From<LexError> for SqlError {
 /// Parse a SQL query (single SELECT or UNION chain, optional trailing `;`).
 pub fn parse_query(src: &str) -> Result<Query, SqlError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let q = p.parse_query()?;
     p.eat_semi();
     if let Some(t) = p.peek() {
@@ -53,7 +67,11 @@ pub fn parse_query(src: &str) -> Result<Query, SqlError> {
 /// Parse a scalar expression (used by tests and the QBE form builder).
 pub fn parse_expr(src: &str) -> Result<Expr, SqlError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let e = p.parse_expr()?;
     if let Some(t) = p.peek() {
         return Err(p.err(format!("unexpected trailing token {:?}", t)));
@@ -64,6 +82,8 @@ pub fn parse_expr(src: &str) -> Result<Expr, SqlError> {
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Expression nesting levels open at `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -306,7 +326,20 @@ impl Parser {
     // ---- expressions ------------------------------------------------------
 
     fn parse_expr(&mut self) -> Result<Expr, SqlError> {
-        self.parse_or()
+        self.nested(Self::parse_or)
+    }
+
+    /// Run `parse` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Expr, SqlError>) -> Result<Expr, SqlError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!(
+                "expression nested deeper than {MAX_NESTING} levels"
+            )));
+        }
+        self.depth += 1;
+        let e = parse(self);
+        self.depth -= 1;
+        e
     }
 
     fn parse_or(&mut self) -> Result<Expr, SqlError> {
@@ -329,7 +362,7 @@ impl Parser {
 
     fn parse_not(&mut self) -> Result<Expr, SqlError> {
         if self.eat_kw("NOT") {
-            let inner = self.parse_not()?;
+            let inner = self.nested(Self::parse_not)?;
             return Ok(Expr::Un(UnOp::Not, Box::new(inner)));
         }
         self.parse_predicate()
@@ -445,7 +478,7 @@ impl Parser {
     fn parse_unary(&mut self) -> Result<Expr, SqlError> {
         if self.peek() == Some(&Tok::Minus) {
             self.pos += 1;
-            let inner = self.parse_unary()?;
+            let inner = self.nested(Self::parse_unary)?;
             return Ok(match inner {
                 Expr::Int(i) => Expr::Int(-i),
                 Expr::Float(x) => Expr::Float(-x),
@@ -718,6 +751,45 @@ mod tests {
     fn error_positions() {
         let e = parse_query("SELECT *\nFROM t WHERE ???").unwrap_err();
         assert_eq!(e.line, 2);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let parens = |n: usize| {
+            format!(
+                "SELECT r1.cname FROM r1 WHERE {}1 = 1{}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        // The WHERE expression is one level; each parenthesis adds one.
+        assert!(parse_query(&parens(MAX_NESTING - 1)).is_ok());
+        let e = parse_query(&parens(MAX_NESTING)).unwrap_err();
+        assert!(e.message.contains("nested deeper than 128"), "{e}");
+        assert!(parse_query(&parens(1_000)).is_err());
+
+        let nots = |n: usize| format!("SELECT r1.cname FROM r1 WHERE {}1 = 1", "NOT ".repeat(n));
+        assert!(parse_query(&nots(MAX_NESTING - 1)).is_ok());
+        assert!(parse_query(&nots(MAX_NESTING)).is_err());
+        assert!(parse_query(&nots(5_000)).is_err());
+
+        let minus = |n: usize| format!("SELECT {}1 FROM r1", "- ".repeat(n));
+        assert!(parse_query(&minus(MAX_NESTING - 1)).is_ok());
+        assert!(parse_query(&minus(MAX_NESTING)).is_err());
+
+        let cases = |n: usize| {
+            format!(
+                "SELECT {}1{} FROM r1",
+                "CASE WHEN TRUE THEN ".repeat(n),
+                " END".repeat(n)
+            )
+        };
+        assert!(parse_query(&cases(MAX_NESTING - 1)).is_ok());
+        assert!(parse_query(&cases(MAX_NESTING)).is_err());
+
+        // Long flat chains are loops, not nesting.
+        let chain = vec!["1 = 1"; 1_000].join(" AND ");
+        assert!(parse_query(&format!("SELECT r1.cname FROM r1 WHERE {chain}")).is_ok());
     }
 
     #[test]

@@ -188,8 +188,8 @@ impl RelationalSource {
         self
     }
 
-    /// Restrict capabilities (used by planner ablation benches to model a
-    /// source that cannot evaluate predicates remotely).
+    /// Restrict capabilities (the planner tests use it to model a source that
+    /// cannot evaluate predicates remotely).
     pub fn with_capabilities(mut self, caps: Capabilities) -> RelationalSource {
         self.caps = caps;
         self
