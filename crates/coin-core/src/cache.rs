@@ -242,27 +242,6 @@ impl QueryCache {
         None
     }
 
-    /// Look up a prepared query still valid under `versions`. A present
-    /// but stale entry is removed and counted as an invalidation; any
-    /// non-returning outcome counts as a miss.
-    pub fn get(
-        &self,
-        receiver: &str,
-        sql: &str,
-        versions: &ModelVersions,
-    ) -> Option<Arc<PreparedQuery>> {
-        match self.lookup(receiver, sql, versions) {
-            Some(hit) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(hit)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
     /// Single-flight entry point: return a cached artifact, or elect this
     /// caller leader for the key, or park until the current leader lands
     /// and serve its artifact. Only a leader election counts as a miss;

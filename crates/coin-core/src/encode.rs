@@ -77,9 +77,14 @@ pub fn value_term(v: &Value) -> Term {
     }
 }
 
-/// The column term `col(binding, column)`.
+/// The column term `col(binding, column)`. The binding is a logic string,
+/// not an atom: table aliases come from the receiver's SQL, and interned
+/// atoms are never freed.
 pub fn col_term(binding: &str, column: &str) -> Term {
-    Term::Compound(syms().col, vec![Term::atom(binding), Term::atom(column)])
+    Term::Compound(
+        syms().col,
+        vec![Term::Str(Arc::from(binding)), Term::atom(column)],
+    )
 }
 
 fn pos(functor: Sym, args: Vec<Term>) -> Literal {
@@ -621,7 +626,7 @@ mod tests {
         );
         assert!(
             text.contains(
-                "mod_val('c_src1', col('r1', 'revenue'), 'currency', col('r1', 'currency'))."
+                "mod_val('c_src1', col(\"r1\", 'revenue'), 'currency', col(\"r1\", 'currency'))."
             ),
             "{text}"
         );
@@ -635,7 +640,7 @@ mod tests {
             text.contains("cvt_scaleFactor(V, F, T, W) :- neqc(F, T), W is V * F / T."),
             "{text}"
         );
-        assert!(text.contains("rcv(col('r1', 'revenue'), V1) :- mod_val('c_src1', col('r1', 'revenue'), 'scaleFactor', F0), cvt_scaleFactor(col('r1', 'revenue'), F0, 1, V0), mod_val('c_src1', col('r1', 'revenue'), 'currency', F1), cvt_currency(V0, F1, \"USD\", V1)."), "{text}");
+        assert!(text.contains("rcv(col(\"r1\", 'revenue'), V1) :- mod_val('c_src1', col(\"r1\", 'revenue'), 'scaleFactor', F0), cvt_scaleFactor(col(\"r1\", 'revenue'), F0, 1, V0), mod_val('c_src1', col(\"r1\", 'revenue'), 'currency', F1), cvt_currency(V0, F1, \"USD\", V1)."), "{text}");
     }
 
     #[test]
@@ -663,7 +668,7 @@ mod tests {
         // USD identity, other with rate).
         let enc = encode_figure2_column();
         let solver = Solver::new(enc.program());
-        let answers = solver.query("rcv(col('r1', 'revenue'), W)").unwrap();
+        let answers = solver.query("rcv(col(\"r1\", 'revenue'), W)").unwrap();
         assert_eq!(
             answers.len(),
             3,
@@ -674,7 +679,7 @@ mod tests {
         // JPY case: revenue * 1000 * rate (rate abduced, still a variable).
         assert!(rendered[0].contains("1000"), "{rendered:?}");
         // USD case: identity.
-        assert_eq!(rendered[1], "col(r1, revenue)");
+        assert_eq!(rendered[1], "col(\"r1\", revenue)");
         // Other: revenue * rate.
         assert!(rendered[2].starts_with("*("), "{rendered:?}");
     }
@@ -710,9 +715,9 @@ mod tests {
         )
         .unwrap();
         let solver = Solver::new(enc.program());
-        let answers = solver.query("rcv(col('r2', 'expenses'), W)").unwrap();
+        let answers = solver.query("rcv(col(\"r2\", 'expenses'), W)").unwrap();
         assert_eq!(answers.len(), 1);
-        assert_eq!(answers[0].vars["W"].to_string(), "col(r2, expenses)");
+        assert_eq!(answers[0].vars["W"].to_string(), "col(\"r2\", expenses)");
         assert!(answers[0].delta.is_empty(), "no hypotheses needed");
     }
 
@@ -733,9 +738,8 @@ mod tests {
             &mut PlanDeps::new(),
         )
         .unwrap();
-        assert!(
-            program_text(enc.program()).contains("rcv(col('r1', 'cname'), col('r1', 'cname')).")
-        );
+        assert!(program_text(enc.program())
+            .contains("rcv(col(\"r1\", 'cname'), col(\"r1\", 'cname'))."));
     }
 
     #[test]

@@ -665,7 +665,10 @@ fn decode_answer(
                 BinOp::Eq,
                 texpr,
             ));
-            assumptions.push(format!("{modifier} conversion via {relation} ({atom})"));
+            assumptions.push(format!(
+                "{modifier} conversion via {relation} ({})",
+                render(atom)
+            ));
         }
     }
 
@@ -685,7 +688,7 @@ fn decode_answer(
                 let l = term_to_expr(&args[0], &var_columns)?;
                 let r = term_to_expr(&args[1], &var_columns)?;
                 case_preds.push(Expr::bin(l, op, r));
-                assumptions.push(format!("{atom}"));
+                assumptions.push(render(atom));
             }
             _ => {} // ancillaries handled above
         }
@@ -706,7 +709,12 @@ fn decode_answer(
         let l = term_to_expr(&c.lhs, &var_columns)?;
         let r = term_to_expr(&c.rhs, &var_columns)?;
         residual_preds.push(Expr::bin(l, op, r));
-        residuals.push(c.to_string());
+        residuals.push(format!(
+            "{} {} {}",
+            render(&c.lhs),
+            c.op.symbol(),
+            render(&c.rhs)
+        ));
     }
 
     // 4. SELECT list from the output variables.
@@ -742,6 +750,34 @@ fn decode_answer(
     })
 }
 
+/// `t` as the explanation prints it: the term's own text, except that a
+/// column's binding, carried as a string, prints as the atom it names
+/// (`col(rl, currency)`).
+fn render(t: &Term) -> String {
+    fn write(t: &Term, out: &mut String) -> std::fmt::Result {
+        let Term::Compound(f, args) = t else {
+            return write!(out, "{t}");
+        };
+        write!(out, "{}(", Term::Atom(*f))?;
+        for (i, arg) in args.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            match arg {
+                Term::Str(binding) if i == 0 && f.as_str() == "col" => {
+                    coin_logic::write_atom(out, binding)?
+                }
+                _ => write(arg, out)?,
+            }
+        }
+        out.push(')');
+        Ok(())
+    }
+    let mut out = String::new();
+    write(t, &mut out).expect("writing to a String cannot fail");
+    out
+}
+
 /// Convert a logic term back into a SQL expression.
 fn term_to_expr(t: &Term, var_columns: &BTreeMap<u32, ColumnRef>) -> Result<Expr, MediationError> {
     Ok(match t {
@@ -763,9 +799,7 @@ fn term_to_expr(t: &Term, var_columns: &BTreeMap<u32, ColumnRef>) -> Result<Expr
                 .clone(),
         ),
         Term::Compound(f, args) => match (f.as_str(), args.as_slice()) {
-            ("col", [Term::Atom(b), Term::Atom(c)]) => {
-                Expr::Column(ColumnRef::new(b.as_str(), c.as_str()))
-            }
+            ("col", [Term::Str(b), Term::Atom(c)]) => Expr::Column(ColumnRef::new(b, c.as_str())),
             (op @ ("+" | "-" | "*" | "/"), [l, r]) => {
                 let lo = term_to_expr(l, var_columns)?;
                 let ro = term_to_expr(r, var_columns)?;

@@ -165,10 +165,6 @@ impl DomainModel {
             .any(|t| t.modifiers.iter().any(|m| m == modifier))
     }
 
-    pub fn type_names(&self) -> Vec<&str> {
-        self.types.keys().map(String::as_str).collect()
-    }
-
     pub fn len(&self) -> usize {
         self.types.len()
     }

@@ -20,13 +20,12 @@
 //! *read*. Compilation records that read set as a [`crate::PlanDeps`]
 //! footprint — the receiver and source contexts consulted, the elevation
 //! axioms applied, the conversion functions invoked, every relation the
-//! mediated query or its plan stages, and the planner configuration.
-//! [`crate::CoinSystem`] maintains a per-part vector clock
-//! ([`crate::ModelVersions`]): each mutation (`add_context`,
-//! `add_elevation`, `add_conversion`/`replace_conversion`, `add_source`,
-//! `with_planner_config`) stamps exactly the parts it changed, and a
-//! semantically no-op administration (re-applying the current planner
-//! config, replacing a conversion with an identical one) stamps nothing.
+//! mediated query or its plan stages. [`crate::CoinSystem`] maintains a
+//! per-part vector clock ([`crate::ModelVersions`]): each mutation
+//! (`add_context`, `add_elevation`, `add_conversion`/`replace_conversion`,
+//! `add_source`) stamps exactly the parts it changed, and a semantically
+//! no-op administration (replacing a conversion with an identical one)
+//! stamps nothing.
 //!
 //! * The system's [`crate::cache::QueryCache`] drops exactly the entries
 //!   whose footprint intersects a mutation's stamped parts
@@ -37,9 +36,8 @@
 //!   ([`crate::ModelVersions::plan_valid`]) and fail with
 //!   [`crate::CoinError::StalePlan`] rather than silently returning
 //!   answers mediated against an outdated model. Recover by calling
-//!   [`crate::CoinSystem::prepare`] again, or let
-//!   [`crate::CoinSystem::execute_reprepared`] re-prepare and re-execute
-//!   in one step, handing back the fresh artifact.
+//!   [`crate::CoinSystem::prepare`] again: it hands back a plan compiled
+//!   against the current model.
 //!
 //! The scalar **epoch** survives as a monotone summary: it advances once
 //! per effective mutation, artifacts record the epoch they were compiled
@@ -106,21 +104,10 @@ pub struct PreparedQuery {
 }
 
 impl PreparedQuery {
-    /// Compile `sql` posed in `receiver` context against the system's
-    /// current model. This is the full compile pipeline —
-    /// parse → split → mediate → plan — with nothing executed.
-    pub fn compile(
-        system: &CoinSystem,
-        sql: &str,
-        receiver: &str,
-    ) -> Result<PreparedQuery, CoinError> {
-        let q = coin_sql::parse_query(sql)?;
-        PreparedQuery::compile_parsed(system, q, sql, receiver)
-    }
-
-    /// [`PreparedQuery::compile`] from an already-parsed query — the
-    /// cache-aware path parses once to canonicalize its key, then hands
-    /// the AST here so the text is never parsed twice.
+    /// Compile the parsed `q` (spelled `sql`) posed in `receiver` context
+    /// against the system's current model: split → mediate → plan, with
+    /// nothing executed. The cache-aware path parses once to canonicalize
+    /// its key, then hands the AST here so the text is never parsed twice.
     pub(crate) fn compile_parsed(
         system: &CoinSystem,
         q: Query,
@@ -139,9 +126,8 @@ impl PreparedQuery {
         let plan = system.planner.plan_query(&mediated.query)?;
         // The artifact's read footprint: everything mediation consulted,
         // every relation the plan stages (ancillary conversion tables
-        // included), and the planner configuration the plan was shaped by.
+        // included).
         let mut deps = mediated.deps.clone();
-        deps.record(ModelPart::PlannerConfig);
         for table in plan.staged_relations() {
             deps.record(ModelPart::Relation(table.to_owned()));
         }
@@ -161,7 +147,7 @@ impl PreparedQuery {
     /// The receiver SQL this artifact was compiled from. Artifacts obtained
     /// through the cache-aware [`crate::CoinSystem::prepare`] path report
     /// the *canonical* printed form of the parsed query (the cache key);
-    /// direct [`PreparedQuery::compile`] keeps the caller's spelling.
+    /// [`crate::CoinSystem::prepare_uncached`] keeps the caller's spelling.
     pub fn sql(&self) -> &str {
         &self.sql
     }

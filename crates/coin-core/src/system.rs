@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use coin_planner::{Dictionary, Planner, PlannerConfig};
+use coin_planner::{Dictionary, Planner};
 use coin_rel::Table;
 use coin_sql::normalize::SchemaLookup;
 use coin_sql::{ColumnRef, Expr, OrderItem, Query, Select, SelectItem, TableRef};
@@ -34,8 +34,8 @@ pub enum CoinError {
     Sql(coin_sql::SqlError),
     Unsupported(String),
     /// A [`PreparedQuery`] was executed after one of its recorded model
-    /// dependencies changed; recompile with [`CoinSystem::prepare`], or
-    /// use [`CoinSystem::execute_reprepared`] to recover automatically.
+    /// dependencies changed; recover by calling [`CoinSystem::prepare`]
+    /// again, which hands back a plan compiled against the current model.
     /// The fields are the scalar epochs (compile-time and current) for
     /// wire compatibility; staleness itself is decided per-dependency.
     StalePlan {
@@ -167,21 +167,9 @@ impl CoinSystem {
         }
     }
 
-    /// Swap the planner configuration. A semantically-unchanged
-    /// reconfiguration (new config equals the current one) is a no-op:
-    /// no version bump, no plan invalidated.
-    pub fn with_planner_config(mut self, config: PlannerConfig) -> CoinSystem {
-        if self.planner.config != config {
-            self.planner.config = config;
-            self.bump(vec![ModelPart::PlannerConfig]);
-        }
-        self
-    }
-
-    /// The scalar model epoch: the total number of model/planner
-    /// mutations administered so far (`add_source`, `add_context`,
-    /// `add_elevation`, `add_conversion`, `replace_conversion`,
-    /// `with_planner_config`). Kept as a monotone summary for wire/stats
+    /// The scalar model epoch: the total number of model mutations
+    /// administered so far (`add_source`, `add_context`, `add_elevation`,
+    /// `add_conversion`, `replace_conversion`). Kept as a monotone summary for wire/stats
     /// compatibility; plan *validity* is decided per-dependency against
     /// [`CoinSystem::versions`].
     pub fn epoch(&self) -> u64 {
@@ -459,7 +447,8 @@ impl CoinSystem {
 
     /// Compile without touching the cache (the compile pipeline itself).
     pub fn prepare_uncached(&self, sql: &str, receiver: &str) -> Result<PreparedQuery, CoinError> {
-        PreparedQuery::compile(self, sql, receiver)
+        let q = coin_sql::parse_query(sql)?;
+        PreparedQuery::compile_parsed(self, q, sql, receiver)
     }
 
     /// Cumulative prepared-query cache counters and occupancy.
@@ -513,53 +502,6 @@ impl CoinSystem {
         let mut rows = prepared.execute_stream(self, cancel)?;
         rows.set_cache_status(status);
         Ok(rows)
-    }
-
-    /// Execute a caller-held prepared artifact with **stale-plan
-    /// recovery**: if the artifact's dependencies changed since it was
-    /// compiled ([`CoinError::StalePlan`]), transparently re-prepare
-    /// through the cache and execute the fresh plan instead of erroring.
-    ///
-    /// Returns the answer together with the artifact that actually
-    /// produced it — the original when it was still current, the
-    /// recompiled one after recovery — so callers can swap their held
-    /// handle and stop paying the re-prepare on subsequent calls.
-    /// [`CoinError::ForeignPlan`] is *not* recovered: a plan from a
-    /// different system instance is a caller bug, not staleness.
-    pub fn execute_reprepared(
-        &self,
-        prepared: &Arc<PreparedQuery>,
-    ) -> Result<(MediatedAnswer, Arc<PreparedQuery>), CoinError> {
-        match prepared.execute(self) {
-            Err(CoinError::StalePlan { .. }) => {
-                let (fresh, status) =
-                    self.prepare_with_status(prepared.sql(), prepared.receiver())?;
-                let mut answer = fresh.execute(self)?;
-                answer.cache = status;
-                Ok((answer, fresh))
-            }
-            other => other.map(|answer| (answer, Arc::clone(prepared))),
-        }
-    }
-
-    /// Streaming counterpart of [`CoinSystem::execute_reprepared`]: same
-    /// recovery contract, answer delivered as a [`MediatedRows`] pull
-    /// stream.
-    pub fn execute_reprepared_stream(
-        &self,
-        prepared: &Arc<PreparedQuery>,
-        cancel: Option<coin_rel::CancelToken>,
-    ) -> Result<(MediatedRows, Arc<PreparedQuery>), CoinError> {
-        match prepared.execute_stream(self, cancel.clone()) {
-            Err(CoinError::StalePlan { .. }) => {
-                let (fresh, status) =
-                    self.prepare_with_status(prepared.sql(), prepared.receiver())?;
-                let mut rows = fresh.execute_stream(self, cancel)?;
-                rows.set_cache_status(status);
-                Ok((rows, fresh))
-            }
-            other => other.map(|rows| (rows, Arc::clone(prepared))),
-        }
     }
 
     /// Execute without mediation (the naive baseline of §3 that returns the

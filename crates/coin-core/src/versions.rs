@@ -13,8 +13,8 @@
 //!
 //! * [`ModelPart`] names one independently versioned piece of the model —
 //!   a context theory, a relation's elevation axioms, a modifier's
-//!   conversion function, a relation (its resolvability through the
-//!   dictionary), or the planner configuration;
+//!   conversion function, or a relation (its resolvability through the
+//!   dictionary);
 //! * [`ModelVersions`] maps each part to the epoch of its last change and
 //!   keeps the scalar epoch as a monotone summary (wire/stats
 //!   compatibility: `/stats` still reports one number);
@@ -33,8 +33,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// One independently versioned part of the shared model. The variants
 /// mirror the administration surface of [`crate::CoinSystem`]: each
-/// `add_*`/`replace_*`/`with_planner_config` mutation bumps exactly the
-/// parts it semantically changes.
+/// `add_*`/`replace_*` mutation bumps exactly the parts it semantically
+/// changes.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ModelPart {
     /// A context theory, by context name. Consulted for the receiver and
@@ -53,8 +53,6 @@ pub enum ModelPart {
     /// must recompile (and surface the ambiguity) rather than silently
     /// keep the old binding.
     Relation(String),
-    /// The planner configuration (optimizer switches).
-    PlannerConfig,
 }
 
 impl std::fmt::Display for ModelPart {
@@ -64,7 +62,6 @@ impl std::fmt::Display for ModelPart {
             ModelPart::Elevation(n) => write!(f, "elevation:{n}"),
             ModelPart::Conversion(n) => write!(f, "conversion:{n}"),
             ModelPart::Relation(n) => write!(f, "relation:{n}"),
-            ModelPart::PlannerConfig => f.write_str("planner-config"),
         }
     }
 }
@@ -119,11 +116,6 @@ impl ModelVersions {
     /// Every explicitly stamped part with its last-change epoch.
     pub fn iter(&self) -> impl Iterator<Item = (&ModelPart, u64)> {
         self.parts.iter().map(|(p, v)| (p, *v))
-    }
-
-    /// Number of explicitly stamped parts.
-    pub fn tracked_parts(&self) -> usize {
-        self.parts.len()
     }
 }
 
@@ -182,10 +174,11 @@ mod tests {
         assert_eq!(e, 1);
         assert_eq!(v.version_of(&ctx("a")), 1);
         assert_eq!(v.version_of(&ctx("b")), 0);
-        v.bump([ctx("b"), ModelPart::PlannerConfig]);
+        let rel = ModelPart::Relation("r1".into());
+        v.bump([ctx("b"), rel.clone()]);
         assert_eq!(v.epoch(), 2);
         assert_eq!(v.version_of(&ctx("b")), 2);
-        assert_eq!(v.version_of(&ModelPart::PlannerConfig), 2);
+        assert_eq!(v.version_of(&rel), 2);
         assert_eq!(v.version_of(&ctx("a")), 1, "untouched parts keep stamps");
     }
 
@@ -238,6 +231,6 @@ mod tests {
             ModelPart::Conversion("currency".into()).to_string(),
             "conversion:currency"
         );
-        assert_eq!(ModelPart::PlannerConfig.to_string(), "planner-config");
+        assert_eq!(ModelPart::Relation("r1".into()).to_string(), "relation:r1");
     }
 }

@@ -10,7 +10,6 @@ use coin_core::fixtures::figure2_system;
 use coin_core::{
     CacheStatus, CoinError, ContextTheory, Conversion, Elevation, ModelPart, ModifierSpec, PlanDeps,
 };
-use coin_planner::PlannerConfig;
 use coin_rel::Value;
 use proptest::prelude::*;
 
@@ -166,11 +165,9 @@ fn stale_prepared_query_refuses_to_execute() {
     assert!(prepared.is_current(&sys));
     assert_eq!(prepared.execute(&sys).unwrap().table.rows.len(), 1);
 
-    // The planner configuration is a dependency of every plan.
-    sys = sys.with_planner_config(PlannerConfig {
-        reorder: false,
-        ..PlannerConfig::default()
-    });
+    // The currency conversion is a dependency of this plan.
+    sys.replace_conversion("currency", currency_lookup(true))
+        .unwrap();
     assert!(!prepared.is_current(&sys));
     match prepared.execute(&sys) {
         Err(CoinError::StalePlan {
@@ -181,56 +178,19 @@ fn stale_prepared_query_refuses_to_execute() {
         }
         other => panic!("expected StalePlan, got {other:?}"),
     }
-    // Re-preparing recovers.
-    let fresh = sys.prepare(Q1, "c_recv").unwrap();
-    assert_eq!(fresh.execute(&sys).unwrap().table.rows.len(), 1);
-}
-
-/// Opt-in recovery: `execute_reprepared` passes a current plan through
-/// untouched, and transparently recompiles + re-executes a stale one,
-/// handing back the artifact that actually produced the answer.
-#[test]
-fn execute_reprepared_recovers_from_stale_plans() {
-    let mut sys = figure2_system();
-    let prepared = sys.prepare(Q1, "c_recv").unwrap();
-
-    // Current plan: passthrough, same artifact handed back.
-    let (answer, artifact) = sys.execute_reprepared(&prepared).unwrap();
-    assert_eq!(answer.table.rows.len(), 1);
-    assert!(std::sync::Arc::ptr_eq(&artifact, &prepared));
-
-    // Stale the plan via a dependency it read, then recover.
-    sys = sys.with_planner_config(PlannerConfig {
-        reorder: false,
-        ..PlannerConfig::default()
-    });
+    // Restoring the conversion is a further change, not an undo: the old
+    // plan stays stale, and re-preparing recovers.
+    sys.replace_conversion("currency", currency_lookup(false))
+        .unwrap();
     assert!(matches!(
         prepared.execute(&sys),
         Err(CoinError::StalePlan { .. })
     ));
-    let (answer, fresh) = sys.execute_reprepared(&prepared).unwrap();
+    let fresh = sys.prepare(Q1, "c_recv").unwrap();
+    assert!(fresh.is_current(&sys));
+    let answer = fresh.execute(&sys).unwrap();
     assert_eq!(answer.table.rows.len(), 1);
     assert_eq!(answer.table.rows[0][0], Value::str("NTT"));
-    assert!(!std::sync::Arc::ptr_eq(&fresh, &prepared));
-    assert!(fresh.is_current(&sys));
-    // The swapped-in artifact executes directly from here on.
-    assert_eq!(fresh.execute(&sys).unwrap().table.rows.len(), 1);
-
-    // The streaming variant recovers identically.
-    let (mut rows, fresh2) = sys.execute_reprepared_stream(&prepared, None).unwrap();
-    assert!(fresh2.is_current(&sys));
-    let mut n = 0;
-    while rows.next().unwrap().is_some() {
-        n += 1;
-    }
-    assert_eq!(n, 1);
-
-    // ForeignPlan is a caller bug, not staleness: never recovered.
-    let other = figure2_system();
-    assert!(matches!(
-        other.execute_reprepared(&prepared),
-        Err(CoinError::ForeignPlan)
-    ));
 }
 
 /// Satellite regression: semantically-unchanged administration is a
@@ -240,11 +200,6 @@ fn noop_administration_leaves_cached_plans_live() {
     let mut sys = figure2_system();
     sys.query(Q1, "c_recv").unwrap();
     let epoch = sys.epoch();
-
-    // Re-applying the current planner configuration.
-    sys = sys.with_planner_config(PlannerConfig::default());
-    assert_eq!(sys.epoch(), epoch);
-    assert_eq!(sys.query(Q1, "c_recv").unwrap().cache, CacheStatus::Hit);
 
     // Replacing a conversion with an identical one.
     sys.replace_conversion(
@@ -429,7 +384,7 @@ proptest! {
     /// oracle that recompiles from scratch, uncached, on each access.
     #[test]
     fn interleaved_prepares_and_mutations_never_serve_stale_plans(
-        ops in prop::collection::vec((0usize..QUERIES.len(), 0usize..8), 1..16),
+        ops in prop::collection::vec((0usize..QUERIES.len(), 0usize..7), 1..16),
     ) {
         let mut sys = figure2_system();
         // Capacity above the working set, so every predicted miss is an
@@ -440,7 +395,6 @@ proptest! {
         let mut resident: Vec<Option<PlanDeps>> = vec![None; QUERIES.len()];
         let mut fresh_names = 0usize;
         let mut swapped = false;
-        let mut reorder = true;
         for (qi, action) in ops {
             match action {
                 // A fresh context: no existing plan can depend on it.
@@ -485,16 +439,6 @@ proptest! {
                 // unchanged, must invalidate nothing.
                 3 => {
                     sys.replace_conversion("currency", currency_lookup(swapped)).unwrap();
-                }
-                // Toggle the planner configuration: every plan depends on
-                // it, so everything resident recompiles.
-                4 => {
-                    reorder = !reorder;
-                    sys = sys.with_planner_config(PlannerConfig {
-                        reorder,
-                        ..PlannerConfig::default()
-                    });
-                    predict_invalidation(&mut resident, &[ModelPart::PlannerConfig]);
                 }
                 // Prepare through the cache, check the hit/miss outcome
                 // against the prediction, and cross-check the answer

@@ -183,11 +183,17 @@ fn compile_counter_tracks_sequential_recompiles() {
     sys.prepare(Q1, "c_recv").unwrap(); // compile 1
     sys.prepare(Q1, "c_recv").unwrap(); // hit — no compile
     assert_eq!(sys.cache_stats().compiles, 1);
-    // Reconfiguring the planner is a dependency of every cached plan.
-    sys = sys.with_planner_config(coin_planner::PlannerConfig {
-        reorder: false,
-        ..coin_planner::PlannerConfig::default()
-    });
+    // Q1 converts currencies: replacing that conversion invalidates it.
+    sys.replace_conversion(
+        "currency",
+        coin_core::Conversion::Lookup {
+            relation: "r3".into(),
+            from_col: "toCur".into(),
+            to_col: "fromCur".into(),
+            factor_col: "rate".into(),
+        },
+    )
+    .unwrap();
     sys.prepare(Q1, "c_recv").unwrap(); // invalidated — compile 2
     assert_eq!(sys.cache_stats().compiles, 2);
 }

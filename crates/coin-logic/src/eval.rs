@@ -148,19 +148,6 @@ pub fn partial_eval(t: &Term, bindings: &Bindings) -> Result<Evaled, EvalError> 
     }
 }
 
-/// Compare two partially evaluated operands if both are numeric.
-/// Returns `None` when at least one side is residual (the comparison must
-/// then be recorded as a residual constraint).
-pub fn compare_numeric(a: &Evaled, b: &Evaled) -> Option<std::cmp::Ordering> {
-    match (a, b) {
-        (Evaled::Num(x), Evaled::Num(y)) => {
-            let (x, y) = (x.as_f64()?, y.as_f64()?);
-            x.partial_cmp(&y)
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -57,4 +57,4 @@ pub use parser::{parse_goals, parse_program, parse_term_str, Item, ParseError};
 pub use program::{GroundSemantics, Program, ProgramError};
 pub use solver::{Answer, NamedAnswer, SolveError, Solver, SolverConfig, SolverLimit};
 pub use symbol::Sym;
-pub use term::{Term, Var};
+pub use term::{write_atom, Term, Var};

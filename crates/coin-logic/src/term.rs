@@ -187,14 +187,7 @@ impl std::fmt::Display for Term {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Term::Var(v) => write!(f, "{v}"),
-            Term::Atom(s) => {
-                let name = s.as_str();
-                if needs_quotes(name) {
-                    write!(f, "'{}'", name.replace('\'', "\\'"))
-                } else {
-                    f.write_str(name)
-                }
-            }
+            Term::Atom(s) => write_atom(f, s.as_str()),
             Term::Int(i) => write!(f, "{i}"),
             Term::Float(x) => {
                 if x.0.fract() == 0.0 && x.0.abs() < 1e15 {
@@ -215,6 +208,16 @@ impl std::fmt::Display for Term {
                 f.write_str(")")
             }
         }
+    }
+}
+
+/// Write `name` as an atom prints: bare when it reads back as that atom,
+/// single-quoted otherwise.
+pub fn write_atom(out: &mut impl std::fmt::Write, name: &str) -> std::fmt::Result {
+    if needs_quotes(name) {
+        write!(out, "'{}'", name.replace('\'', "\\'"))
+    } else {
+        out.write_str(name)
     }
 }
 

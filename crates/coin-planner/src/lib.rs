@@ -11,8 +11,8 @@
 //! * [`dictionary::Dictionary`] — the schema/dictionary service;
 //! * [`optimize::Planner`] — decomposition + cost-based optimization with
 //!   capability awareness (selection/projection pushdown, binding-pattern
-//!   dependent access, fetch ordering), all individually switchable for
-//!   ablation;
+//!   dependent access, fetch ordering), with selection pushdown governed
+//!   by each source's capability record;
 //! * [`plan::Plan`] — the explainable execution plan;
 //! * [`exec::execute_plan`] — plan execution: one fetch scheduler over all
 //!   branches of a query, with communication accounting.
@@ -24,7 +24,7 @@ pub mod plan;
 
 pub use dictionary::{DictError, Dictionary};
 pub use exec::{execute_plan, ExecStats, PlanRows};
-pub use optimize::{Planner, PlannerConfig};
+pub use optimize::Planner;
 pub use plan::{FetchStep, ParamBinding, Plan, PlanError, QueryPlan};
 
 use coin_rel::Table;
@@ -41,11 +41,7 @@ impl Planner {
             .iter()
             .map(|s| self.plan_select(s))
             .collect::<Result<Vec<_>, _>>()?;
-        let all = match q {
-            // A single SELECT has nothing to deduplicate across branches.
-            Query::Select(_) => true,
-            Query::Union { all, .. } => *all,
-        };
+        let all = q.keeps_duplicates();
         Ok(QueryPlan { branches, all })
     }
 

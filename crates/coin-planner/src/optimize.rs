@@ -26,8 +26,10 @@
 //! * **ordering** — steps run dependencies-first, cheapest-first, and the
 //!   local join order follows ascending estimated cardinality.
 //!
-//! Every decision is individually switchable through [`PlannerConfig`], so
-//! the planner tests can compare each one switched off against on.
+//! Selection pushdown is per source: a source whose
+//! [`coin_wrapper::Capabilities::pushdown_select`] is false gets only the
+//! literals that bind its parameters, and every other predicate runs
+//! locally.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -35,29 +37,6 @@ use coin_sql::{BinOp, ColumnRef, Expr, Select, SelectItem, TableRef};
 
 use crate::dictionary::Dictionary;
 use crate::plan::{DerivedLiteral, FetchStep, ParamBinding, Plan, PlanError};
-
-/// Optimizer switches (all on by default). `PartialEq` lets the system
-/// detect a semantically-unchanged reconfiguration and skip plan
-/// invalidation entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlannerConfig {
-    /// Push single-binding predicates into capable sources.
-    pub pushdown_select: bool,
-    /// Fetch only referenced columns.
-    pub pushdown_project: bool,
-    /// Order fetches / local joins by estimated cardinality.
-    pub reorder: bool,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            pushdown_select: true,
-            pushdown_project: true,
-            reorder: true,
-        }
-    }
-}
 
 /// Per-binding information gathered during decomposition.
 struct BindingInfo {
@@ -201,22 +180,14 @@ fn cross_binding(e: &Expr, binding: &str) -> Option<(String, String, String)> {
     }
 }
 
-/// The planner: dictionary + configuration.
+/// The planner: plans and executes queries over the dictionary's sources.
 pub struct Planner {
     pub dictionary: Dictionary,
-    pub config: PlannerConfig,
 }
 
 impl Planner {
     pub fn new(dictionary: Dictionary) -> Planner {
-        Planner {
-            dictionary,
-            config: PlannerConfig::default(),
-        }
-    }
-
-    pub fn with_config(dictionary: Dictionary, config: PlannerConfig) -> Planner {
-        Planner { dictionary, config }
+        Planner { dictionary }
     }
 
     /// Plan one SELECT block.
@@ -375,26 +346,26 @@ impl Planner {
                 }
             }
 
-            // Remote projection.
-            let items: Vec<SelectItem> =
-                if self.config.pushdown_project && !info.used_columns.is_empty() {
-                    let mut cols: Vec<String> = info.used_columns.iter().cloned().collect();
-                    // Parameter columns must flow back for the local join.
-                    for p in &params {
-                        if !cols.contains(&p.column) {
-                            cols.push(p.column.clone());
-                        }
+            // Remote projection: only the columns the query uses, or every
+            // column when it uses none (`SELECT COUNT(*) FROM t a`).
+            let items: Vec<SelectItem> = if info.used_columns.is_empty() {
+                vec![SelectItem::Wildcard]
+            } else {
+                let mut cols: Vec<String> = info.used_columns.iter().cloned().collect();
+                // Parameter columns must flow back for the local join.
+                for p in &params {
+                    if !cols.contains(&p.column) {
+                        cols.push(p.column.clone());
                     }
-                    cols.sort();
-                    cols.iter()
-                        .map(|c| SelectItem::Expr {
-                            expr: Expr::Column(ColumnRef::bare(c)),
-                            alias: None,
-                        })
-                        .collect()
-                } else {
-                    vec![SelectItem::Wildcard]
-                };
+                }
+                cols.sort();
+                cols.iter()
+                    .map(|c| SelectItem::Expr {
+                        expr: Expr::Column(ColumnRef::bare(c)),
+                        alias: None,
+                    })
+                    .collect()
+            };
 
             // Remote predicates: per capability (binding literals always go,
             // the wrapper needs them as parameters).
@@ -403,7 +374,7 @@ impl Planner {
             for p in &info.local_preds {
                 let is_binding_literal = literal_binding(p, &info.binding)
                     .is_some_and(|(c, _)| info.required_bound.contains(&c));
-                let push = is_binding_literal || (self.config.pushdown_select && info.can_push);
+                let push = is_binding_literal || info.can_push;
                 if push {
                     pushed_selectivity *= selectivity(p);
                     remote_preds.push(strip_qualifier(p, &info.binding));
@@ -455,19 +426,13 @@ impl Planner {
         }
 
         // ---- order steps: dependencies first, then cheapest-first --------
-        let ordered = order_steps(steps, self.config.reorder)?;
+        let ordered = order_steps(steps)?;
 
         // ---- local query over staged tables ------------------------------
-        let mut local_from: Vec<TableRef> =
-            ordered.iter().map(|s| TableRef::new(s.binding())).collect();
-        if !self.config.reorder {
-            // Preserve the query's FROM order locally.
-            local_from = s.from.iter().map(|t| TableRef::new(t.binding())).collect();
-        }
         let local = Select {
             distinct: s.distinct,
             items: s.items.clone(),
-            from: local_from,
+            from: ordered.iter().map(|s| TableRef::new(s.binding())).collect(),
             where_clause: s.where_clause.clone(),
             group_by: s.group_by.clone(),
             having: s.having.clone(),
@@ -494,37 +459,31 @@ impl Planner {
 }
 
 /// Order steps so dependencies come first; among available steps pick the
-/// cheapest (when `reorder`) or keep query order.
-fn order_steps(steps: Vec<FetchStep>, reorder: bool) -> Result<Vec<FetchStep>, PlanError> {
+/// cheapest, the earliest in query order on a tie.
+fn order_steps(steps: Vec<FetchStep>) -> Result<Vec<FetchStep>, PlanError> {
     let mut pending = steps;
     let mut done: Vec<FetchStep> = Vec::new();
     let mut staged: BTreeSet<String> = BTreeSet::new();
     while !pending.is_empty() {
         // Steps whose dependencies are all staged.
-        let mut candidates: Vec<usize> = pending
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.dependencies().iter().all(|d| staged.contains(*d)))
-            .map(|(i, _)| i)
-            .collect();
-        if candidates.is_empty() {
-            return Err(PlanError::CyclicDependency(
-                pending.iter().map(|s| s.binding().to_owned()).collect(),
-            ));
-        }
-        let pick = if reorder {
-            candidates
-                .drain(..)
-                .min_by(|&a, &b| {
-                    pending[a]
-                        .est_cost()
-                        .partial_cmp(&pending[b].est_cost())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .unwrap()
-        } else {
-            candidates[0]
-        };
+        let pick = (0..pending.len())
+            .filter(|&i| {
+                pending[i]
+                    .dependencies()
+                    .iter()
+                    .all(|d| staged.contains(*d))
+            })
+            .min_by(|&a, &b| {
+                pending[a]
+                    .est_cost()
+                    .partial_cmp(&pending[b].est_cost())
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .ok_or_else(|| {
+                PlanError::CyclicDependency(
+                    pending.iter().map(|s| s.binding().to_owned()).collect(),
+                )
+            })?;
         let step = pending.remove(pick);
         staged.insert(step.binding().to_owned());
         done.push(step);

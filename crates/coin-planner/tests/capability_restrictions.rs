@@ -1,7 +1,7 @@
 //! Capability-record behaviour: sources that cannot evaluate predicates
 //! remotely, restricted relational sources, and plan explanations.
 
-use coin_planner::{Dictionary, FetchStep, Planner, PlannerConfig};
+use coin_planner::{Dictionary, FetchStep, Planner};
 use coin_rel::{Catalog, ColumnType, Schema, Table, Value};
 use coin_wrapper::{Capabilities, CostParams, RelationalSource};
 
@@ -94,31 +94,6 @@ fn plan_explain_names_every_step() {
     assert!(text.contains("db"), "{text}");
     assert!(text.contains("estimated cost"), "{text}");
     assert!(text.contains("local:"), "{text}");
-}
-
-#[test]
-fn planner_config_off_still_correct() {
-    // With every optimization disabled, answers are unchanged.
-    let mut dict = Dictionary::new();
-    dict.register_source(RelationalSource::new(
-        "db",
-        Catalog::new().with_table(orders_table(30)),
-    ))
-    .unwrap();
-    let sql = "SELECT o.oid FROM orders o WHERE o.amount > 100";
-    let on = Planner::new(dict.clone()).run_sql(sql).unwrap().0;
-    let off = Planner::with_config(
-        dict,
-        PlannerConfig {
-            pushdown_select: false,
-            pushdown_project: false,
-            reorder: false,
-        },
-    )
-    .run_sql(sql)
-    .unwrap()
-    .0;
-    assert_eq!(on.rows, off.rows);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! and (b) directly by the local engine over a merged catalog; results must
 //! match as multisets.
 
-use coin_planner::{Dictionary, Planner, PlannerConfig};
+use coin_planner::{Dictionary, Planner};
 use coin_rel::tempstore::cmp_rows;
 use coin_rel::{Catalog, ColumnType, Row, Schema, Table, Value};
 use coin_wrapper::{Capabilities, RelationalSource};
@@ -72,33 +72,33 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Cross-source equi-join + filters == local execution.
+    /// Cross-source equi-join + filters == local execution, whether the
+    /// sources evaluate pushed predicates or not.
     #[test]
     fn distributed_equals_local(
         ta in prop::collection::vec((0i64..8, -50i64..50), 0..14),
         tb in prop::collection::vec((0i64..8, -50i64..50), 0..14),
         threshold in -50i64..50,
-        pushdown in any::<bool>(),
-        reorder in any::<bool>(),
+        capable in any::<bool>(),
     ) {
         let t1 = table("t1", &ta);
         let t2 = table("t2", &tb);
 
         // Distributed: one table per source.
+        let caps = Capabilities {
+            pushdown_select: capable,
+            ..Capabilities::default()
+        };
         let mut dict = Dictionary::new();
-        dict.register_source(RelationalSource::new(
-            "alpha",
-            Catalog::new().with_table(t1.clone()),
-        )).unwrap();
-        dict.register_source(RelationalSource::new(
-            "beta",
-            Catalog::new().with_table(t2.clone()),
-        )).unwrap();
-        let planner = Planner::with_config(dict, PlannerConfig {
-            pushdown_select: pushdown,
-            pushdown_project: pushdown,
-            reorder,
-        });
+        dict.register_source(
+            RelationalSource::new("alpha", Catalog::new().with_table(t1.clone()))
+                .with_capabilities(caps.clone()),
+        ).unwrap();
+        dict.register_source(
+            RelationalSource::new("beta", Catalog::new().with_table(t2.clone()))
+                .with_capabilities(caps),
+        ).unwrap();
+        let planner = Planner::new(dict);
 
         // Local: both tables in one catalog.
         let local = Catalog::new().with_table(t1).with_table(t2);
@@ -109,13 +109,15 @@ proptest! {
             "SELECT a.k, b.k FROM t1 a, t2 b WHERE a.v = b.v".to_string(),
             "SELECT COUNT(*), SUM(a.v) FROM t1 a, t2 b WHERE a.k = b.k".to_string(),
             format!("SELECT a.k FROM t1 a, t2 b WHERE a.k = b.k AND a.v > b.v AND b.v < {threshold}"),
+            // No column of `a` is used: the fetch is `SELECT * FROM t1`.
+            "SELECT COUNT(*) FROM t1 a".to_string(),
         ] {
             let (dist, _) = planner.run_sql(&sql).unwrap();
             let loc = coin_rel::execute_sql(&sql, &local).unwrap();
             prop_assert_eq!(
                 sorted(dist.rows.clone()),
                 sorted(loc.rows.clone()),
-                "query {} (pushdown={}, reorder={})", sql, pushdown, reorder
+                "query {} (capable={})", sql, capable
             );
         }
     }
@@ -152,12 +154,11 @@ proptest! {
     fn derived_literal_bindings_equal_local(
         rows in (key_rows(), key_rows(), key_rows()),
         literals in (0usize..4, 0usize..4, any::<bool>(), -20i64..20),
-        switches in (any::<bool>(), any::<bool>(), any::<bool>()),
+        capable in any::<bool>(),
     ) {
         let (ta, tb, tc) = rows;
         let (lit, other, flag, threshold) = literals;
         let (lit, other) = (KEYS[lit], KEYS[other]);
-        let (capable, pushdown, reorder) = switches;
         let (t1, t2, t3) = (keyed_table("t1", &ta), keyed_table("t2", &tb), keyed_table("t3", &tc));
         let restricted = |bound: &[&str]| Capabilities {
             pushdown_select: capable,
@@ -180,11 +181,7 @@ proptest! {
                 .with_capabilities(restricted(&["k"])),
         )
         .unwrap();
-        let planner = Planner::with_config(dict, PlannerConfig {
-            pushdown_select: pushdown,
-            pushdown_project: pushdown,
-            reorder,
-        });
+        let planner = Planner::new(dict);
         let local = Catalog::new().with_table(t1).with_table(t2).with_table(t3);
 
         for sql in [
@@ -214,7 +211,7 @@ proptest! {
             prop_assert_eq!(
                 sorted(dist.rows.clone()),
                 sorted(loc.rows.clone()),
-                "query {} (capable={}, pushdown={}, reorder={})", sql, capable, pushdown, reorder
+                "query {} (capable={})", sql, capable
             );
         }
     }

@@ -2,7 +2,7 @@
 //! executing a plan whose local operations spill to the temp store must
 //! report the runs/bytes written; an in-memory execution must report zero.
 
-use coin_planner::{Dictionary, Planner, PlannerConfig};
+use coin_planner::{Dictionary, Planner};
 use coin_rel::{Catalog, ColumnType, Schema, Table, Value};
 use coin_wrapper::RelationalSource;
 
@@ -19,7 +19,7 @@ fn planner_with_rows(n: usize) -> Planner {
     let mut dict = Dictionary::new();
     dict.register_source(RelationalSource::new("src", Catalog::new().with_table(t)))
         .unwrap();
-    Planner::with_config(dict, PlannerConfig::default())
+    Planner::new(dict)
 }
 
 #[test]

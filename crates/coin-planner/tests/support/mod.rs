@@ -50,10 +50,12 @@ impl Probe {
 
 /// A `Source` decorator: same name, tables, capabilities and answers as the
 /// source it wraps, with latency and faults injected around each query.
+/// The capabilities can be replaced too.
 pub struct Injected {
     inner: SourceRef,
     latency: Latency,
     cancel: Option<CancelToken>,
+    caps: Option<Capabilities>,
     probe: Arc<Probe>,
 }
 
@@ -63,6 +65,7 @@ impl Injected {
             inner,
             latency,
             cancel: None,
+            caps: None,
             probe: Arc::default(),
         }
     }
@@ -75,6 +78,12 @@ impl Injected {
     /// Cancel `token` whenever this source is queried.
     pub fn cancelling(mut self, token: CancelToken) -> Injected {
         self.cancel = Some(token);
+        self
+    }
+
+    /// Report `caps` instead of the wrapped source's capability record.
+    pub fn with_capabilities(mut self, caps: Capabilities) -> Injected {
+        self.caps = Some(caps);
         self
     }
 
@@ -102,7 +111,9 @@ impl Source for Injected {
     }
 
     fn capabilities(&self) -> &Capabilities {
-        self.inner.capabilities()
+        self.caps
+            .as_ref()
+            .unwrap_or_else(|| self.inner.capabilities())
     }
 
     fn execute_select(&self, select: &Select) -> Result<Table, SourceError> {

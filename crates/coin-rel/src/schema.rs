@@ -80,11 +80,6 @@ impl Schema {
         self.columns.is_empty()
     }
 
-    /// Index of a column by exact name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
     /// Resolve a possibly-qualified reference against possibly-qualified
     /// column names: `q.c` matches exactly; bare `c` matches a unique column
     /// whose name is `c` or ends in `.c`.

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use coin_rel::{Column, ColumnType, Schema, Table, Value};
+use coin_rel::{Column, ColumnType, Schema, Value};
 
 use crate::http::{HttpClient, HttpError};
 use crate::json::{parse, Json, JsonError};
@@ -433,14 +433,5 @@ impl ResultSet {
 
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Convert to an engine table (for local post-processing).
-    pub fn into_table(self, name: &str) -> Table {
-        Table {
-            name: name.to_owned(),
-            schema: self.schema,
-            rows: self.rows,
-        }
     }
 }

@@ -815,7 +815,6 @@ fn read_chunked_body(
 #[derive(Debug)]
 pub struct HttpClient {
     addr: SocketAddr,
-    read_timeout: Duration,
     stream: Option<BufReader<TcpStream>>,
     connects: u64,
     requests: u64,
@@ -825,16 +824,10 @@ impl HttpClient {
     pub fn new(addr: SocketAddr) -> HttpClient {
         HttpClient {
             addr,
-            read_timeout: Duration::from_secs(30),
             stream: None,
             connects: 0,
             requests: 0,
         }
-    }
-
-    pub fn with_read_timeout(mut self, read_timeout: Duration) -> HttpClient {
-        self.read_timeout = read_timeout;
-        self
     }
 
     /// TCP connections opened so far (1 for an all-keep-alive exchange).
@@ -938,7 +931,7 @@ impl HttpClient {
     ) -> Result<ClientResponse, HttpError> {
         if self.stream.is_none() {
             let stream = TcpStream::connect(self.addr)?;
-            stream.set_read_timeout(Some(self.read_timeout))?;
+            stream.set_read_timeout(Some(Duration::from_secs(30)))?;
             let _ = stream.set_nodelay(true);
             self.connects += 1;
             self.stream = Some(BufReader::new(stream));

@@ -87,7 +87,7 @@ impl std::error::Error for JsonError {}
 pub const MAX_NESTING: usize = 64;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
     /// Arrays and objects open at `pos`.
     depth: usize,
@@ -103,8 +103,7 @@ impl<'a> Parser<'a> {
 
     fn skip_ws(&mut self) {
         while self
-            .bytes
-            .get(self.pos)
+            .peek()
             .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
         {
             self.pos += 1;
@@ -112,7 +111,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -206,7 +205,7 @@ impl<'a> Parser<'a> {
     }
 
     fn keyword(&mut self, kw: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+        if self.src[self.pos..].starts_with(kw) {
             self.pos += kw.len();
             Ok(value)
         } else {
@@ -236,15 +235,10 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
+                            let hex = (self.src.get(self.pos + 1..self.pos + 5))
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| self.err("bad \\u escape"))?;
                             out.push(
                                 char::from_u32(code)
                                     .ok_or_else(|| self.err("bad unicode scalar"))?,
@@ -256,12 +250,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next `"` or `\`: both are
+                    // ASCII, so the run ends on a character boundary.
+                    let start = self.pos;
+                    let rest = &self.src.as_bytes()[start..];
+                    self.pos += (rest.iter())
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -293,7 +289,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(self.err("expected a value"));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|e| self.err(format!("bad number {text}: {e}")))
@@ -303,13 +299,13 @@ impl<'a> Parser<'a> {
 /// Parse a JSON document.
 pub fn parse(src: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
-        bytes: src.as_bytes(),
+        src,
         pos: 0,
         depth: 0,
     };
     let v = p.parse_value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(p.err("trailing input"));
     }
     Ok(v)
@@ -503,11 +499,6 @@ impl JsonBuf {
         self.comma.clear();
     }
 
-    /// Take the serialized document, consuming the writer.
-    pub fn into_string(self) -> String {
-        self.out
-    }
-
     /// Drain the bytes written so far, keeping container/comma state so
     /// writing can continue — the chunked-response path emits the buffer
     /// mid-document after every row batch.
@@ -605,6 +596,19 @@ mod tests {
         assert_eq!(v.as_str().unwrap(), "a\"b\\c\ndé");
         let out = Json::str("x\"y\\z\n").to_string();
         assert_eq!(out, r#""x\"y\\z\n""#);
+    }
+
+    #[test]
+    fn long_string_parses_in_linear_time() {
+        // Copying a string one character at a time while validating the
+        // rest of the document for each took seconds at this size.
+        let text = "é".repeat(50_000) + &"x".repeat(100_000);
+        let doc = format!("[\"{text}\"]");
+        let start = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        let took = start.elapsed();
+        assert_eq!(parsed.as_array().unwrap()[0].as_str(), Some(text.as_str()));
+        assert!(took < std::time::Duration::from_millis(300), "{took:?}");
     }
 
     #[test]

@@ -13,40 +13,45 @@
 #[derive(Debug, Clone, PartialEq)]
 pub enum Query {
     Select(Box<Select>),
-    /// `left UNION [ALL] right`
+    /// `first UNION [ALL] s1 UNION [ALL] s2 …`: each further branch with
+    /// the `ALL` flag of the `UNION` before it. A flat list, so no pass
+    /// over a long chain (print, plan, drop) recurses once per branch.
     Union {
-        left: Box<Query>,
-        right: Box<Query>,
-        all: bool,
+        first: Box<Select>,
+        rest: Vec<(bool, Select)>,
     },
 }
 
 impl Query {
-    /// Flatten a union chain into its SELECT branches, left to right.
+    /// The union chain's SELECT branches, left to right.
     pub fn branches(&self) -> Vec<&Select> {
-        let mut out = Vec::new();
-        fn walk<'a>(q: &'a Query, out: &mut Vec<&'a Select>) {
-            match q {
-                Query::Select(s) => out.push(s),
-                Query::Union { left, right, .. } => {
-                    walk(left, out);
-                    walk(right, out);
-                }
-            }
+        match self {
+            Query::Select(s) => vec![s],
+            Query::Union { first, rest } => std::iter::once(&**first)
+                .chain(rest.iter().map(|(_, s)| s))
+                .collect(),
         }
-        walk(self, &mut out);
-        out
+    }
+
+    /// Whether the query's answer keeps duplicate rows: a single SELECT
+    /// does, and a chain does when its last, outermost `UNION` is `ALL`.
+    pub fn keeps_duplicates(&self) -> bool {
+        match self {
+            Query::Select(_) => true,
+            Query::Union { rest, .. } => rest.last().is_none_or(|(all, _)| *all),
+        }
     }
 
     /// Build a UNION chain from branches (panics on empty input).
-    pub fn union_of(mut branches: Vec<Select>, all: bool) -> Query {
-        assert!(!branches.is_empty(), "union of zero branches");
-        let first = Query::Select(Box::new(branches.remove(0)));
-        branches.into_iter().fold(first, |acc, s| Query::Union {
-            left: Box::new(acc),
-            right: Box::new(Query::Select(Box::new(s))),
-            all,
-        })
+    pub fn union_of(branches: Vec<Select>, all: bool) -> Query {
+        let mut branches = branches.into_iter();
+        let first = Box::new(branches.next().expect("union of zero branches"));
+        let rest: Vec<(bool, Select)> = branches.map(|s| (all, s)).collect();
+        if rest.is_empty() {
+            Query::Select(first)
+        } else {
+            Query::Union { first, rest }
+        }
     }
 }
 
@@ -90,14 +95,6 @@ impl TableRef {
             source: None,
             table: table.to_owned(),
             alias: None,
-        }
-    }
-
-    pub fn aliased(table: &str, alias: &str) -> TableRef {
-        TableRef {
-            source: None,
-            table: table.to_owned(),
-            alias: Some(alias.to_owned()),
         }
     }
 
@@ -661,12 +658,15 @@ impl std::fmt::Display for Select {
 
 impl std::fmt::Display for Query {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Query::Select(s) => write!(f, "{s}"),
-            Query::Union { left, right, all } => {
-                write!(f, "{left} UNION {}{right}", if *all { "ALL " } else { "" })
-            }
+        let (first, rest) = match self {
+            Query::Select(s) => (&**s, &[][..]),
+            Query::Union { first, rest } => (&**first, &rest[..]),
+        };
+        write!(f, "{first}")?;
+        for (all, s) in rest {
+            write!(f, " UNION {}{s}", if *all { "ALL " } else { "" })?;
         }
+        Ok(())
     }
 }
 

@@ -286,10 +286,11 @@ pub fn normalize_select(s: &Select, schema: &dyn SchemaLookup) -> Result<Select,
 pub fn normalize_query(q: &Query, schema: &dyn SchemaLookup) -> Result<Query, NormalizeError> {
     Ok(match q {
         Query::Select(s) => Query::Select(Box::new(normalize_select(s, schema)?)),
-        Query::Union { left, right, all } => Query::Union {
-            left: Box::new(normalize_query(left, schema)?),
-            right: Box::new(normalize_query(right, schema)?),
-            all: *all,
+        Query::Union { first, rest } => Query::Union {
+            first: Box::new(normalize_select(first, schema)?),
+            rest: (rest.iter())
+                .map(|(all, s)| Ok((*all, normalize_select(s, schema)?)))
+                .collect::<Result<_, NormalizeError>>()?,
         },
     })
 }

@@ -8,15 +8,31 @@
 //! Expressions nest at most [`MAX_NESTING`] levels deep (parentheses,
 //! function arguments, `CASE` parts, `NOT` and unary minus each add one),
 //! so nesting in request bytes cannot drive the parser into a stack
-//! overflow. A chain of binary operators is parsed by a loop, not by
-//! recursion, and is not counted: it still builds a tree as deep as the
-//! chain is long.
+//! overflow. A chain of binary operators is parsed by a loop, but each
+//! further operand makes the tree one level taller, and every later pass
+//! over the tree (normalise, mediate, lower, print, drop) recurses once per
+//! level. The planner and the mediator also split a conjunction into its
+//! conjuncts and chain them again, whatever its parentheses. So no
+//! expression tree, counting each conjunction as that chain, grows taller
+//! than [`MAX_HEIGHT`]: the parser fails before it builds the node that
+//! would.
 
 use crate::ast::*;
 use crate::lexer::{lex, LexError, Spanned, Tok};
 
 /// How deep expressions may nest before parsing fails with an [`SqlError`].
 pub const MAX_NESTING: usize = 128;
+
+/// How tall an expression tree may grow: parsing fails with an [`SqlError`]
+/// before it builds one this tall. A leaf is one level, and every operator
+/// node adds one over its tallest operand, so `a AND b AND c` is three
+/// levels tall. A conjunction counts as the chain of its conjuncts, so
+/// `(a AND b) AND (c AND d)` is four levels tall, and `x BETWEEN l AND h`
+/// as `x >= l AND x <= h`, which mediation splits it into. On a 2 MiB
+/// thread, a `/query` in every mode answers trees about 2,000 levels tall
+/// in a release build and 396 in a debug build, and this bound keeps half
+/// of the smaller.
+pub const MAX_HEIGHT: usize = 192;
 
 /// Parse error with position information.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,6 +71,8 @@ pub fn parse_query(src: &str) -> Result<Query, SqlError> {
         toks,
         pos: 0,
         depth: 0,
+        height: 0,
+        conjuncts: 0,
     };
     let q = p.parse_query()?;
     p.eat_semi();
@@ -71,6 +89,8 @@ pub fn parse_expr(src: &str) -> Result<Expr, SqlError> {
         toks,
         pos: 0,
         depth: 0,
+        height: 0,
+        conjuncts: 0,
     };
     let e = p.parse_expr()?;
     if let Some(t) = p.peek() {
@@ -84,6 +104,11 @@ struct Parser {
     pos: usize,
     /// Expression nesting levels open at `pos`.
     depth: usize,
+    /// The height of the expression tree parsed last, as
+    /// [`Parser::and`] counts a conjunction.
+    height: usize,
+    /// How many conjuncts the expression parsed last splits into.
+    conjuncts: usize,
 }
 
 impl Parser {
@@ -163,17 +188,17 @@ impl Parser {
     // ---- query level ----------------------------------------------------
 
     fn parse_query(&mut self) -> Result<Query, SqlError> {
-        let mut q = Query::Select(Box::new(self.parse_select()?));
+        let first = Box::new(self.parse_select()?);
+        let mut rest = Vec::new();
         while self.eat_kw("UNION") {
             let all = self.eat_kw("ALL");
-            let rhs = self.parse_select()?;
-            q = Query::Union {
-                left: Box::new(q),
-                right: Box::new(Query::Select(Box::new(rhs))),
-                all,
-            };
+            rest.push((all, self.parse_select()?));
         }
-        Ok(q)
+        Ok(if rest.is_empty() {
+            Query::Select(first)
+        } else {
+            Query::Union { first, rest }
+        })
     }
 
     fn parse_select(&mut self) -> Result<Select, SqlError> {
@@ -185,17 +210,18 @@ impl Parser {
             items.push(self.parse_select_item()?);
         }
         self.expect_kw("FROM")?;
-        let (from, join_preds) = self.parse_from()?;
+        let (from, on) = self.parse_from()?;
+        let on_shape = (self.height, self.conjuncts);
         let mut where_clause = if self.eat_kw("WHERE") {
             Some(self.parse_expr()?)
         } else {
             None
         };
         // Desugar JOIN … ON predicates into the WHERE clause.
-        if let Some(jp) = Expr::conjoin(join_preds) {
+        if let Some(on) = on {
             where_clause = Some(match where_clause {
-                Some(w) => Expr::and(jp, w),
-                None => jp,
+                Some(w) => self.and(on, on_shape, w)?,
+                None => on,
             });
         }
         let mut group_by = Vec::new();
@@ -275,11 +301,12 @@ impl Parser {
         Ok(SelectItem::Expr { expr, alias })
     }
 
-    /// Parse the FROM clause; JOIN…ON predicates are returned separately for
-    /// desugaring into WHERE.
-    fn parse_from(&mut self) -> Result<(Vec<TableRef>, Vec<Expr>), SqlError> {
+    /// Parse the FROM clause; the conjunction of its JOIN…ON predicates is
+    /// returned separately for desugaring into WHERE, and is the expression
+    /// parsed last.
+    fn parse_from(&mut self) -> Result<(Vec<TableRef>, Option<Expr>), SqlError> {
         let mut tables = vec![self.parse_table_ref()?];
-        let mut preds = Vec::new();
+        let mut on: Option<Expr> = None;
         loop {
             if self.peek() == Some(&Tok::Comma) {
                 self.pos += 1;
@@ -291,13 +318,18 @@ impl Parser {
                 tables.push(self.parse_table_ref()?);
                 if !cross {
                     self.expect_kw("ON")?;
-                    preds.push(self.parse_expr()?);
+                    let shape = (self.height, self.conjuncts);
+                    let pred = self.parse_expr()?;
+                    on = Some(match on.take() {
+                        Some(l) => self.and(l, shape, pred)?,
+                        None => pred,
+                    });
                 }
             } else {
                 break;
             }
         }
-        Ok((tables, preds))
+        Ok((tables, on))
     }
 
     fn parse_table_ref(&mut self) -> Result<TableRef, SqlError> {
@@ -342,11 +374,42 @@ impl Parser {
         e
     }
 
+    /// Account for a node built over operands whose tallest is `operands`
+    /// levels tall, failing past [`MAX_HEIGHT`] before the node exists.
+    fn node(&mut self, operands: usize) -> Result<(), SqlError> {
+        if operands + 1 >= MAX_HEIGHT {
+            return Err(self.err(format!("expression tree {MAX_HEIGHT} or more levels tall")));
+        }
+        self.height = operands + 1;
+        self.conjuncts = 1;
+        Ok(())
+    }
+
+    /// `l AND r`, where `l` is `lh` levels tall over `ln` conjuncts and `r`
+    /// was parsed last. Later passes split a conjunction into its conjuncts
+    /// and chain them again, so a conjunction is as tall as its tallest
+    /// conjunct plus one level for each further conjunct, however it was
+    /// grouped: `(a AND b) AND (c AND d)` is four levels tall.
+    fn and(&mut self, l: Expr, (lh, ln): (usize, usize), r: Expr) -> Result<Expr, SqlError> {
+        let conjuncts = ln + self.conjuncts;
+        let tallest = (lh + 1 - ln).max(self.height + 1 - self.conjuncts);
+        self.node(conjuncts + tallest - 2)?;
+        self.conjuncts = conjuncts;
+        Ok(Expr::and(l, r))
+    }
+
+    /// `l op r`, where `l` is `l_height` levels tall and `r` was parsed last.
+    fn bin(&mut self, l: Expr, l_height: usize, op: BinOp, r: Expr) -> Result<Expr, SqlError> {
+        self.node(l_height.max(self.height))?;
+        Ok(Expr::bin(l, op, r))
+    }
+
     fn parse_or(&mut self) -> Result<Expr, SqlError> {
         let mut e = self.parse_and()?;
         while self.eat_kw("OR") {
+            let h = self.height;
             let r = self.parse_and()?;
-            e = Expr::bin(e, BinOp::Or, r);
+            e = self.bin(e, h, BinOp::Or, r)?;
         }
         Ok(e)
     }
@@ -354,8 +417,9 @@ impl Parser {
     fn parse_and(&mut self) -> Result<Expr, SqlError> {
         let mut e = self.parse_not()?;
         while self.eat_kw("AND") {
+            let l = (self.height, self.conjuncts);
             let r = self.parse_not()?;
-            e = Expr::bin(e, BinOp::And, r);
+            e = self.and(e, l, r)?;
         }
         Ok(e)
     }
@@ -363,6 +427,7 @@ impl Parser {
     fn parse_not(&mut self) -> Result<Expr, SqlError> {
         if self.eat_kw("NOT") {
             let inner = self.nested(Self::parse_not)?;
+            self.node(self.height)?;
             return Ok(Expr::Un(UnOp::Not, Box::new(inner)));
         }
         self.parse_predicate()
@@ -370,6 +435,15 @@ impl Parser {
 
     fn parse_predicate(&mut self) -> Result<Expr, SqlError> {
         let e = self.parse_additive()?;
+        self.predicate_suffix(e)
+    }
+
+    /// The comparison, `BETWEEN`, `IN`, `LIKE` or `IS NULL` that follows
+    /// `e`, the expression parsed last, if any. Kept out of
+    /// `parse_predicate` because every nesting level pays for that
+    /// function's stack frame.
+    fn predicate_suffix(&mut self, e: Expr) -> Result<Expr, SqlError> {
+        let h = self.height;
         // Comparison?
         let op = match self.peek() {
             Some(Tok::Eq) => Some(BinOp::Eq),
@@ -383,7 +457,7 @@ impl Parser {
         if let Some(op) = op {
             self.pos += 1;
             let r = self.parse_additive()?;
-            return Ok(Expr::bin(e, op, r));
+            return self.bin(e, h, op, r);
         }
         // NOT BETWEEN / NOT IN / NOT LIKE
         let negated = if self.at_kw("NOT")
@@ -396,8 +470,13 @@ impl Parser {
         };
         if self.eat_kw("BETWEEN") {
             let low = self.parse_additive()?;
+            let h = h.max(self.height);
             self.expect_kw("AND")?;
             let high = self.parse_additive()?;
+            // Mediation splits it into two comparisons, `e >= low AND
+            // e <= high`, so it counts as that conjunction.
+            self.node(h.max(self.height) + 1)?;
+            self.conjuncts = 2;
             return Ok(Expr::Between {
                 expr: Box::new(e),
                 low: Box::new(low),
@@ -408,11 +487,14 @@ impl Parser {
         if self.eat_kw("IN") {
             self.expect(Tok::LParen, "(")?;
             let mut list = vec![self.parse_expr()?];
+            let mut h = h.max(self.height);
             while self.peek() == Some(&Tok::Comma) {
                 self.pos += 1;
                 list.push(self.parse_expr()?);
+                h = h.max(self.height);
             }
             self.expect(Tok::RParen, ")")?;
+            self.node(h)?;
             return Ok(Expr::InList {
                 expr: Box::new(e),
                 list,
@@ -422,11 +504,12 @@ impl Parser {
         if self.eat_kw("LIKE") {
             match self.bump() {
                 Some(Tok::Str(pattern)) => {
+                    self.node(h)?;
                     return Ok(Expr::Like {
                         expr: Box::new(e),
                         pattern,
                         negated,
-                    })
+                    });
                 }
                 other => {
                     return Err(self.err(format!("expected LIKE pattern string, found {other:?}")))
@@ -436,6 +519,7 @@ impl Parser {
         if self.eat_kw("IS") {
             let negated = self.eat_kw("NOT");
             self.expect_kw("NULL")?;
+            self.node(h)?;
             return Ok(Expr::IsNull {
                 expr: Box::new(e),
                 negated,
@@ -454,8 +538,9 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            let h = self.height;
             let r = self.parse_multiplicative()?;
-            e = Expr::bin(e, op, r);
+            e = self.bin(e, h, op, r)?;
         }
         Ok(e)
     }
@@ -469,8 +554,9 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            let h = self.height;
             let r = self.parse_unary()?;
-            e = Expr::bin(e, op, r);
+            e = self.bin(e, h, op, r)?;
         }
         Ok(e)
     }
@@ -482,13 +568,19 @@ impl Parser {
             return Ok(match inner {
                 Expr::Int(i) => Expr::Int(-i),
                 Expr::Float(x) => Expr::Float(-x),
-                other => Expr::Un(UnOp::Neg, Box::new(other)),
+                other => {
+                    self.node(self.height)?;
+                    Expr::Un(UnOp::Neg, Box::new(other))
+                }
             });
         }
         self.parse_primary()
     }
 
     fn parse_primary(&mut self) -> Result<Expr, SqlError> {
+        // A leaf; parentheses, calls and `CASE` set their own height.
+        self.height = 1;
+        self.conjuncts = 1;
         match self.bump() {
             Some(Tok::Int(i)) => Ok(Expr::Int(i)),
             Some(Tok::Float(x)) => Ok(Expr::Float(x)),
@@ -502,69 +594,85 @@ impl Parser {
                 self.expect(Tok::RParen, ")")?;
                 Ok(e)
             }
-            Some(Tok::Ident(name)) => {
-                // Function call?
-                if self.peek() == Some(&Tok::LParen) {
-                    self.pos += 1;
-                    if self.peek() == Some(&Tok::Star) {
-                        // COUNT(*)
-                        self.pos += 1;
-                        self.expect(Tok::RParen, ")")?;
-                        if !name.eq_ignore_ascii_case("count") {
-                            return Err(self.err(format!("{name}(*) is not valid")));
-                        }
-                        return Ok(Expr::Func("COUNT".into(), vec![]));
-                    }
-                    let mut args = Vec::new();
-                    if self.peek() != Some(&Tok::RParen) {
-                        args.push(self.parse_expr()?);
-                        while self.peek() == Some(&Tok::Comma) {
-                            self.pos += 1;
-                            args.push(self.parse_expr()?);
-                        }
-                    }
-                    self.expect(Tok::RParen, ")")?;
-                    let canonical = if is_aggregate(&name) {
-                        name.to_ascii_uppercase()
-                    } else {
-                        name
-                    };
-                    return Ok(Expr::Func(canonical, args));
-                }
-                // Qualified column?
-                if self.peek() == Some(&Tok::Dot) {
-                    self.pos += 1;
-                    let col = self.ident()?;
-                    return Ok(Expr::Column(ColumnRef::new(&name, &col)));
-                }
-                Ok(Expr::Column(ColumnRef::bare(&name)))
-            }
+            Some(Tok::Ident(name)) => self.parse_name(name),
             other => Err(self.err(format!("unexpected token {other:?} in expression"))),
         }
     }
 
+    /// A column reference or function call, after its first name. Kept out
+    /// of `parse_primary` for the same reason as `predicate_suffix`.
+    fn parse_name(&mut self, name: String) -> Result<Expr, SqlError> {
+        // Function call?
+        if self.peek() == Some(&Tok::LParen) {
+            self.pos += 1;
+            if self.peek() == Some(&Tok::Star) {
+                // COUNT(*)
+                self.pos += 1;
+                self.expect(Tok::RParen, ")")?;
+                if !name.eq_ignore_ascii_case("count") {
+                    return Err(self.err(format!("{name}(*) is not valid")));
+                }
+                return Ok(Expr::Func("COUNT".into(), vec![]));
+            }
+            let mut args = Vec::new();
+            let mut h = 0;
+            if self.peek() != Some(&Tok::RParen) {
+                args.push(self.parse_expr()?);
+                h = self.height;
+                while self.peek() == Some(&Tok::Comma) {
+                    self.pos += 1;
+                    args.push(self.parse_expr()?);
+                    h = h.max(self.height);
+                }
+            }
+            self.expect(Tok::RParen, ")")?;
+            self.node(h)?;
+            let canonical = if is_aggregate(&name) {
+                name.to_ascii_uppercase()
+            } else {
+                name
+            };
+            return Ok(Expr::Func(canonical, args));
+        }
+        // Qualified column?
+        if self.peek() == Some(&Tok::Dot) {
+            self.pos += 1;
+            let col = self.ident()?;
+            return Ok(Expr::Column(ColumnRef::new(&name, &col)));
+        }
+        Ok(Expr::Column(ColumnRef::bare(&name)))
+    }
+
     fn parse_case(&mut self) -> Result<Expr, SqlError> {
+        let mut h = 0;
         let operand = if !self.at_kw("WHEN") {
-            Some(Box::new(self.parse_expr()?))
+            let operand = self.parse_expr()?;
+            h = self.height;
+            Some(Box::new(operand))
         } else {
             None
         };
         let mut branches = Vec::new();
         while self.eat_kw("WHEN") {
             let cond = self.parse_expr()?;
+            h = h.max(self.height);
             self.expect_kw("THEN")?;
             let val = self.parse_expr()?;
+            h = h.max(self.height);
             branches.push((cond, val));
         }
         if branches.is_empty() {
             return Err(self.err("CASE requires at least one WHEN branch"));
         }
         let else_branch = if self.eat_kw("ELSE") {
-            Some(Box::new(self.parse_expr()?))
+            let e = self.parse_expr()?;
+            h = h.max(self.height);
+            Some(Box::new(e))
         } else {
             None
         };
         self.expect_kw("END")?;
+        self.node(h)?;
         Ok(Expr::Case {
             operand,
             branches,
@@ -734,7 +842,7 @@ mod tests {
     fn union_all_flag() {
         let q = parse_query("SELECT * FROM a UNION ALL SELECT * FROM b").unwrap();
         match q {
-            Query::Union { all, .. } => assert!(all),
+            Query::Union { rest, .. } => assert!(rest[0].0),
             _ => panic!(),
         }
     }
@@ -786,10 +894,63 @@ mod tests {
         };
         assert!(parse_query(&cases(MAX_NESTING - 1)).is_ok());
         assert!(parse_query(&cases(MAX_NESTING)).is_err());
+    }
 
-        // Long flat chains are loops, not nesting.
-        let chain = vec!["1 = 1"; 1_000].join(" AND ");
-        assert!(parse_query(&format!("SELECT r1.cname FROM r1 WHERE {chain}")).is_ok());
+    #[test]
+    fn height_is_bounded() {
+        // `n` operands chained by `op` make a tree `n` levels tall.
+        let chain = |op: &str, n: usize| vec!["1"; n].join(op);
+        let and = |n: usize| format!("SELECT r1.cname FROM r1 WHERE {}", chain(" AND ", n));
+        assert!(parse_query(&and(MAX_HEIGHT - 1)).is_ok());
+        let e = parse_query(&and(MAX_HEIGHT)).unwrap_err();
+        assert!(e.message.contains("192 or more levels tall"), "{e}");
+        assert!(parse_query(&and(5_000)).is_err());
+
+        let plus = |n: usize| format!("SELECT {} FROM r1", chain(" + ", n));
+        assert!(parse_query(&plus(MAX_HEIGHT - 1)).is_ok());
+        assert!(parse_query(&plus(MAX_HEIGHT)).is_err());
+
+        // Nesting and chains add up: each `NOT` is one level over its chain.
+        let nots = |k: usize, n: usize| {
+            format!(
+                "SELECT r1.cname FROM r1 WHERE {}{}",
+                "NOT ".repeat(k),
+                chain(" OR ", n)
+            )
+        };
+        assert!(parse_query(&nots(100, MAX_HEIGHT - 101)).is_ok());
+        assert!(parse_query(&nots(100, MAX_HEIGHT - 100)).is_err());
+
+        // A chain of parenthesised chains is as tall as their sum.
+        let group = format!("({})", chain(" * ", 100));
+        let groups = |n: usize| format!("SELECT {} FROM r1", vec![group.as_str(); n].join(" - "));
+        assert!(parse_query(&groups(MAX_HEIGHT - 100)).is_ok());
+        assert!(parse_query(&groups(MAX_HEIGHT - 99)).is_err());
+
+        // A conjunction is as tall as the chain of its conjuncts, however
+        // it is parenthesised: later passes rebuild it as that chain.
+        fn balanced(n: usize) -> String {
+            match n {
+                1 => "r1.x > 0".into(),
+                _ => format!("({} AND {})", balanced(n / 2), balanced(n - n / 2)),
+            }
+        }
+        let where_ = |e: String| format!("SELECT r1.cname FROM r1 WHERE {e}");
+        assert!(parse_query(&where_(balanced(MAX_HEIGHT - 2))).is_ok());
+        assert!(parse_query(&where_(balanced(MAX_HEIGHT - 1))).is_err());
+        assert!(parse_query(&where_(balanced(16_384))).is_err());
+        let nested = format!("({}) AND 1", balanced(MAX_HEIGHT - 2));
+        assert!(parse_query(&where_(nested)).is_err());
+        // ... and a `BETWEEN` as two conjuncts: 95 of them make 190
+        // comparisons, a chain 191 levels tall.
+        let between = vec!["r1.x BETWEEN 1 AND 2"; 95].join(" AND ");
+        assert!(parse_query(&where_(between.clone())).is_ok());
+        assert!(parse_query(&where_(format!("{between} AND 1"))).is_err());
+
+        // `JOIN … ON` predicates are conjoined into the WHERE clause.
+        let joins = |n: usize| format!("SELECT a.x FROM t a{} WHERE 1", " JOIN t b ON 1".repeat(n));
+        assert!(parse_query(&joins(MAX_HEIGHT - 2)).is_ok());
+        assert!(parse_query(&joins(MAX_HEIGHT - 1)).is_err());
     }
 
     #[test]
