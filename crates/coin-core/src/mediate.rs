@@ -24,7 +24,10 @@
 //!    WHERE equalities, ancillary atoms become joins against the conversion
 //!    source, residual constraints become comparisons, and the converted
 //!    output terms become the SELECT list;
-//! 6. the mediated query is the UNION of the sub-queries.
+//! 6. the mediated query is the union of the sub-queries: `UNION ALL` when
+//!    no row can satisfy two of them, which keeps the duplicates the
+//!    receiver's query has, otherwise set `UNION` (the explanation says
+//!    which).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -150,6 +153,15 @@ impl Mediated {
             if self.branches.len() == 1 { "y" } else { "ies" }
         )
         .unwrap();
+        if !self.query.keeps_duplicates() {
+            writeln!(
+                out,
+                "cases combined with UNION (set semantics): no column tells \
+                 every pair of cases apart, so a row two cases share, or a \
+                 duplicate, is returned once"
+            )
+            .unwrap();
+        }
         for (i, b) in self.branches.iter().enumerate() {
             writeln!(out, "case {}:", i + 1).unwrap();
             if b.assumptions.is_empty() {
@@ -166,6 +178,69 @@ impl Mediated {
         }
         out
     }
+}
+
+/// Can no row satisfy two of the cases? True when one column tells every
+/// pair of cases apart: one case requires `c = v` and the other `c = w`
+/// with w ≠ v, or `c <> v`. Every case split abduced from `eqc`/`neqc`
+/// hypotheses has this form, so the mediated union can keep duplicates.
+pub(crate) fn cases_are_disjoint(branches: &[BranchReport]) -> bool {
+    let tests: Vec<Vec<LiteralTest>> = (branches.iter())
+        .map(|b| literal_tests(&b.select))
+        .collect();
+    tests.iter().enumerate().all(|(i, a)| {
+        (tests[i + 1..].iter()).all(|b| a.iter().any(|x| b.iter().any(|y| x.excludes(y))))
+    })
+}
+
+/// A WHERE conjunct comparing a column with a literal: `column = value`
+/// (`eq`) or `column <> value`.
+struct LiteralTest<'a> {
+    column: &'a ColumnRef,
+    eq: bool,
+    value: Value,
+}
+
+impl LiteralTest<'_> {
+    /// Do the two tests hold of no common value of their column?
+    fn excludes(&self, other: &LiteralTest) -> bool {
+        use std::cmp::Ordering::Equal;
+        if self.column != other.column || !(self.eq || other.eq) {
+            return false;
+        }
+        match self.value.sql_cmp(&other.value) {
+            Some(Equal) => self.eq != other.eq,
+            Some(_) => self.eq && other.eq,
+            None => false,
+        }
+    }
+}
+
+fn literal_tests(s: &Select) -> Vec<LiteralTest<'_>> {
+    let conjuncts = s.where_clause.as_ref().map(Expr::conjuncts);
+    let literal = |e: &Expr| match e {
+        Expr::Str(v) => Some(Value::str(v)),
+        Expr::Int(i) => Some(Value::Int(*i)),
+        Expr::Float(f) => Some(Value::Float(*f)),
+        Expr::Bool(b) => Some(Value::Bool(*b)),
+        _ => None,
+    };
+    (conjuncts.into_iter().flatten())
+        .filter_map(|c| {
+            let Expr::Bin(l, op @ (BinOp::Eq | BinOp::Neq), r) = c else {
+                return None;
+            };
+            let (column, value) = match (l.as_ref(), r.as_ref()) {
+                (Expr::Column(c), v) | (v, Expr::Column(c)) => (c, literal(v)?),
+                _ => return None,
+            };
+            Some(LiteralTest {
+                column,
+                eq: *op == BinOp::Eq,
+                value,
+            })
+        })
+        .collect()
 }
 
 /// The context mediator.
@@ -268,7 +343,8 @@ impl<'a> Mediator<'a> {
             }
         }
 
-        let query = Query::union_of(branches.iter().map(|b| b.select.clone()).collect(), false);
+        let selects = branches.iter().map(|b| b.select.clone()).collect();
+        let query = Query::union_of(selects, cases_are_disjoint(&branches));
         Ok(Mediated {
             query,
             branches,
@@ -862,4 +938,78 @@ fn is_const(e: &Expr) -> bool {
         e,
         Expr::Int(_) | Expr::Float(_) | Expr::Str(_) | Expr::Bool(_)
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn case(where_clause: &str) -> BranchReport {
+        let sql = format!("SELECT a.cname FROM r1 a, r1 b WHERE {where_clause}");
+        let Query::Select(select) = coin_sql::parse_query(&sql).unwrap() else {
+            panic!("one SELECT");
+        };
+        BranchReport {
+            assumptions: Vec::new(),
+            residuals: Vec::new(),
+            select: *select,
+        }
+    }
+
+    fn disjoint(cases: &[&str]) -> bool {
+        cases_are_disjoint(&cases.iter().map(|c| case(c)).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn cases_told_apart_by_one_column_are_disjoint() {
+        assert!(disjoint(&[
+            "a.currency = 'JPY'",
+            "a.currency = 'USD'",
+            "a.currency <> 'JPY' AND a.currency <> 'USD'",
+        ]));
+        // Two instances split independently: each pair differs in one of
+        // the columns, not always the same one.
+        assert!(disjoint(&[
+            "a.currency = 'JPY' AND b.currency = 'JPY'",
+            "a.currency = 'JPY' AND 'USD' = b.currency",
+            "a.currency = 'USD' AND b.currency = 'JPY'",
+        ]));
+        assert!(disjoint(&["a.revenue = 1", "a.revenue = 2.5"]));
+        assert!(disjoint(&["a.currency = 'JPY'"]));
+    }
+
+    #[test]
+    fn cases_no_column_tells_apart_are_not() {
+        // One case narrows the other.
+        assert!(!disjoint(&[
+            "a.currency = 'JPY'",
+            "a.currency = 'JPY' AND a.cname = 'NTT'"
+        ]));
+        // Two exclusions, a different column, the same value spelled two
+        // ways, and a comparison that is not a literal test.
+        assert!(!disjoint(&["a.currency <> 'JPY'", "a.currency <> 'USD'"]));
+        assert!(!disjoint(&["a.currency = 'JPY'", "b.currency = 'USD'"]));
+        assert!(!disjoint(&["a.revenue = 1", "a.revenue = 1.0"]));
+        assert!(!disjoint(&["a.revenue > 1", "a.revenue < 1"]));
+        assert!(!disjoint(&["a.currency = 'JPY'", "a.currency = NULL"]));
+    }
+
+    #[test]
+    fn a_set_union_is_explained() {
+        let cases = vec![
+            case("a.currency = 'JPY'"),
+            case("a.currency = 'JPY' AND a.cname = 'NTT'"),
+        ];
+        let selects = cases.iter().map(|c| c.select.clone()).collect();
+        let mediated = Mediated {
+            query: Query::union_of(selects, cases_are_disjoint(&cases)),
+            branches: cases,
+            statements: 0,
+            deps: PlanDeps::new(),
+            sql_text: OnceLock::new(),
+            explanation: OnceLock::new(),
+        };
+        assert!(mediated.sql_text().contains(" UNION SELECT "));
+        assert!(mediated.explanation().contains("UNION (set semantics)"));
+    }
 }

@@ -47,7 +47,7 @@
 
 use std::sync::Arc;
 
-use coin_planner::{ExecStats, QueryPlan};
+use coin_planner::{ExecStats, QueryPlan, Shipments};
 use coin_rel::{BoxOp, CancelToken, Catalog, Row, Schema, SpillStats, Table};
 use coin_sql::{Query, Select};
 
@@ -205,14 +205,18 @@ impl PreparedQuery {
     /// Execute the captured plan as a row stream — the bounded-memory
     /// counterpart of [`PreparedQuery::execute`].
     ///
-    /// The remote fetches run eagerly (so the stream's communication
-    /// statistics are final immediately), but every local operation —
-    /// joins, residuals, the UNION merge, and the receiver's outer
+    /// The remote fetches run before this returns, except that each
+    /// mediated branch may open its largest fetch as a stream the pipeline
+    /// pulls from the source; so the remote-query count is final at once,
+    /// and the rows shipped and their cost settle when the stream is
+    /// drained ([`MediatedRows::stats`]). Every local operation — joins,
+    /// residuals, the UNION merge, and the receiver's outer
     /// aggregation/ordering block — is a pull-based pipeline over the
-    /// staged data: the mediated result is never materialized as a whole.
-    /// The same dependency/instance checks as `execute` apply. A supplied
-    /// [`CancelToken`] aborts the pipeline mid-pull (the transport layer
-    /// flips it when the consumer disconnects).
+    /// staged and streamed data: the mediated result is never
+    /// materialized as a whole. The same dependency/instance checks as
+    /// `execute` apply. A supplied [`CancelToken`] aborts the pipeline
+    /// mid-pull (the transport layer flips it when the consumer
+    /// disconnects).
     pub fn execute_stream(
         &self,
         system: &CoinSystem,
@@ -231,13 +235,13 @@ impl PreparedQuery {
         let (rows, mut stats) = system
             .planner
             .execute_planned_stream(&self.plan, cancel.clone())?;
+        let (schema, op, shipments) = rows.into_parts();
         let (schema, op) = match &self.outer {
-            None => rows.into_parts(),
+            None => (schema, op),
             Some(outer) => {
                 // Feed the mediated pipeline into the outer block as the
                 // live `mediated` binding; the catalog entry is an empty
                 // placeholder that only lends its schema to normalization.
-                let (schema, op) = rows.into_parts();
                 let placeholder = Table {
                     name: "mediated".into(),
                     schema,
@@ -267,6 +271,7 @@ impl PreparedQuery {
             mediated: Arc::clone(&self.mediated),
             cache: CacheStatus::Prepared,
             stats,
+            shipments,
             spill_before,
             done: false,
         })
@@ -274,8 +279,9 @@ impl PreparedQuery {
 }
 
 /// A streaming mediated answer: schema and provenance are available up
-/// front, rows are pulled one at a time, and the spill statistics are
-/// folded into [`MediatedRows::stats`] when the stream is exhausted.
+/// front, rows are pulled one at a time, and what the streamed fetches
+/// shipped and the spill statistics are folded into
+/// [`MediatedRows::stats`] when the stream is exhausted.
 ///
 /// Pull the stream on the thread that created it — spill accounting uses
 /// the thread-local counters ([`coin_rel::thread_spill_stats`]), so a
@@ -287,6 +293,7 @@ pub struct MediatedRows {
     mediated: Arc<Mediated>,
     cache: CacheStatus,
     stats: ExecStats,
+    shipments: Shipments,
     spill_before: SpillStats,
     done: bool,
 }
@@ -311,9 +318,10 @@ impl MediatedRows {
         self.cache = status;
     }
 
-    /// Execution statistics. Communication fields are final from the
-    /// start; the spill fields settle once the stream has been fully
-    /// drained ([`MediatedRows::finished`]).
+    /// Execution statistics. `remote_queries` is final from the start;
+    /// `rows_shipped` and `comm_cost`, which count the rows of streamed
+    /// fetches as the pipeline pulls them, and the spill fields settle
+    /// once the stream has been fully drained ([`MediatedRows::finished`]).
     pub fn stats(&self) -> &ExecStats {
         &self.stats
     }
@@ -336,6 +344,7 @@ impl MediatedRows {
             Some(row) => Ok(Some(row)),
             None => {
                 self.done = true;
+                self.shipments.settle(&mut self.stats);
                 let spilled = coin_rel::thread_spill_stats().since(&self.spill_before);
                 self.stats.spill_runs = spilled.runs_written;
                 self.stats.spill_bytes = spilled.bytes_spilled;

@@ -276,3 +276,67 @@ fn a_self_join_past_the_answer_limit_is_whole_or_an_error() {
         }
     }
 }
+
+/// The receiver's `r1` rows in US dollars, converted by hand from naive
+/// execution: JPY amounts are in thousands (Figure 2's scale factor) at the
+/// `r3` rate of 0.0096, USD amounts stand as they are.
+fn by_hand_in_usd(sys: &CoinSystem, sql: &str) -> Vec<f64> {
+    let (naive, _) = sys.query_naive(sql).unwrap();
+    let mut out: Vec<f64> = (naive.rows.iter())
+        .map(|row| match (&row[0], &row[1]) {
+            (Value::Int(revenue), Value::Str(c)) if &**c == "USD" => *revenue as f64,
+            (Value::Int(revenue), Value::Str(c)) if &**c == "JPY" => {
+                *revenue as f64 * 1000.0 * 0.0096
+            }
+            other => panic!("unexpected naive row {other:?}"),
+        })
+        .collect();
+    out.sort_by(f64::total_cmp);
+    out
+}
+
+/// A cross join repeats each `r1` row once per `r2` row, and the
+/// receiver's query keeps those duplicates: the mediated cases must not
+/// merge them, whether or not a conversion applied.
+#[test]
+fn mediated_branches_keep_the_receivers_duplicates() {
+    let sys = figure2_system();
+    let expected = by_hand_in_usd(&sys, "SELECT a0.revenue, a0.currency FROM r1 a0, r2 b");
+    assert_eq!(expected.len(), 4);
+
+    let answer = sys
+        .query("SELECT a0.revenue FROM r1 a0, r2 b", "c_recv")
+        .unwrap();
+    let mut got: Vec<f64> = (answer.table.rows.iter())
+        .map(|row| row[0].as_f64().unwrap())
+        .collect();
+    got.sort_by(f64::total_cmp);
+    assert_eq!(got.len(), expected.len(), "{got:?}");
+    for (g, e) in got.iter().zip(&expected) {
+        assert!((g - e).abs() < 1e-6, "{got:?} against {expected:?}");
+    }
+
+    let sum = sys
+        .query("SELECT SUM(a0.revenue) FROM r1 a0, r2 b", "c_recv")
+        .unwrap();
+    let total = sum.table.rows[0][0].as_f64().unwrap();
+    assert!((total - 219_200_000.0).abs() < 1e-3, "SUM = {total}");
+}
+
+/// Each Figure-2 case fixes `currency` to a different value or excludes
+/// the others', so the mediated cases are combined with `UNION ALL`, and
+/// the explanation has no set semantics to explain.
+#[test]
+fn figure2_cases_are_combined_with_union_all() {
+    let sys = figure2_system();
+    for sql in [
+        "SELECT r1.cname, r1.revenue FROM r1",
+        "SELECT a.cname FROM r1 a, r1 b WHERE a.revenue > b.revenue",
+    ] {
+        let mediated = sys.mediate(sql, "c_recv").unwrap();
+        assert!(mediated.query.branches().len() > 1, "{sql}");
+        assert!(mediated.query.keeps_duplicates(), "{}", mediated.query);
+        let explanation = mediated.explain();
+        assert!(!explanation.contains("set semantics"), "{explanation}");
+    }
+}

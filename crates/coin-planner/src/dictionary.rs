@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use coin_rel::{Schema, Table};
+use coin_rel::{BoxOp, Schema, Table};
 use coin_sql::normalize::SchemaLookup;
 use coin_sql::Select;
 use coin_wrapper::{Source, SourceError, SourceRef};
@@ -97,10 +97,23 @@ impl Registered {
     /// Run one remote query, recording how long it took and how much of
     /// that was waiting.
     pub(crate) fn fetch(&self, select: &Select) -> Result<Table, SourceError> {
+        self.timed(|| self.source.execute_select(select))
+    }
+
+    /// Open one remote query as a row stream ([`Source::execute_stream`]),
+    /// timed as [`Registered::fetch`] is: what the source does before its
+    /// first row is what a fetch from it waits for.
+    pub(crate) fn open(&self, select: &Select) -> Result<(Schema, BoxOp), SourceError> {
+        self.timed(|| self.source.execute_stream(select))
+    }
+
+    /// Run `call`, recording how long it took and how much of that was
+    /// waiting.
+    fn timed<T>(&self, call: impl FnOnce() -> T) -> T {
         let timing = &*self.timing;
         let before = (timing.wall_ns.load(Relaxed) >= MEASURE_FROM_NS).then(ThreadUsage::now);
         let started = Instant::now();
-        let result = self.source.execute_select(select);
+        let result = call();
         let wall = started.elapsed().as_nanos() as u64;
         let wait = match before {
             Some(before) => before.waited(wall),

@@ -8,15 +8,20 @@
 //! All fetching, for a single block or for every branch of a UNION, goes
 //! through one scheduler (`stage_branches`): it sends each distinct remote
 //! query once, and overlaps the fetches of a wave when the sources have
-//! been seen to keep a fetch waiting long enough for that to pay.
+//! been seen to keep a fetch waiting long enough for that to pay. Each
+//! branch may take one fetch as a stream instead of a staged table: its
+//! source's rows then enter the local pipeline as they are pulled
+//! ([`coin_wrapper::Source::execute_stream`]), and what that fetch shipped
+//! is known only when its stream ends ([`Shipments`]).
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 use coin_rel::exec::{hash_row_key, hash_values, ChainIndex};
-use coin_rel::{BoxOp, CancelToken, Catalog, Row, Schema, Table, Value};
+use coin_rel::{BoxOp, CancelToken, Catalog, ExecError, Operator, Row, Schema, Table, Value};
 use coin_sql::{BinOp, ColumnRef, Expr, Select};
+use coin_wrapper::{CostParams, SourceError};
 
 use crate::dictionary::{Dictionary, Registered};
 use crate::plan::{FetchStep, ParamBinding, Plan, PlanError};
@@ -52,18 +57,31 @@ pub struct ExecStats {
     pub spill_max_run_bytes: u64,
 }
 
-/// A streaming plan execution: the fetch steps have already run (their
-/// communication stats are final), local rows are pulled on demand through
-/// the `coin-rel` operator pipeline. Dropping it aborts the plan — staged
-/// intermediates and spill files are freed.
+/// A streaming plan execution: the fetch steps have already run or been
+/// opened, and local rows are pulled on demand through the `coin-rel`
+/// operator pipeline. The remote-query count is final from the start;
+/// what the streamed fetches ship is counted as the pipeline pulls it
+/// ([`PlanRows::settle`]). Dropping it aborts the plan — staged
+/// intermediates, open fetches and spill files are freed.
 pub struct PlanRows {
     schema: Schema,
     op: BoxOp,
+    shipments: Shipments,
 }
 
 impl PlanRows {
     pub fn from_parts(schema: Schema, op: BoxOp) -> PlanRows {
-        PlanRows { schema, op }
+        PlanRows {
+            schema,
+            op,
+            shipments: Shipments::default(),
+        }
+    }
+
+    /// These rows pull from the streamed fetches `shipments` counts.
+    pub fn shipping(mut self, shipments: Shipments) -> PlanRows {
+        self.shipments = shipments;
+        self
     }
 
     pub fn schema(&self) -> &Schema {
@@ -81,9 +99,70 @@ impl PlanRows {
             .map_err(|e| PlanError::from(coin_rel::EngineError::from(e)))
     }
 
-    /// Decompose into the raw operator (for feeding a downstream pipeline).
-    pub fn into_parts(self) -> (Schema, BoxOp) {
-        (self.schema, self.op)
+    /// Add what this plan's streamed fetches have shipped to `stats`:
+    /// called once, after the last row, it completes the statistics the
+    /// execution returned.
+    pub fn settle(&self, stats: &mut ExecStats) {
+        self.shipments.settle(stats);
+    }
+
+    /// Decompose into the raw operator (for feeding a downstream pipeline)
+    /// and the streamed fetches it pulls from.
+    pub fn into_parts(self) -> (Schema, BoxOp, Shipments) {
+        (self.schema, self.op, self.shipments)
+    }
+}
+
+/// The fetches a running plan streams, and what each has shipped so far.
+/// A streamed fetch counts its rows as the pipeline pulls them, so its
+/// `rows_shipped` and `comm_cost` are known only when its stream ends;
+/// its remote query is counted when it is opened.
+#[derive(Default)]
+pub struct Shipments(Vec<Arc<Shipment>>);
+
+/// One streamed fetch's row count, written only by its [`FetchFeed`].
+struct Shipment {
+    rows: AtomicUsize,
+    cost: CostParams,
+}
+
+impl Shipments {
+    /// Add the rows shipped so far, and what they cost, to `stats` — as
+    /// staging adds a fetched table's when it arrives.
+    pub fn settle(&self, stats: &mut ExecStats) {
+        for shipment in &self.0 {
+            let rows = shipment.rows.load(Relaxed);
+            stats.rows_shipped += rows;
+            stats.comm_cost += shipment.cost.latency + shipment.cost.per_tuple * rows as f64;
+        }
+    }
+
+    /// Take on `other`'s fetches too (the branches of one query).
+    pub fn extend(&mut self, other: Shipments) {
+        self.0.extend(other.0);
+    }
+}
+
+/// A streamed fetch entering the local pipeline in place of a staged
+/// table: the source's rows, counted as they pass.
+struct FetchFeed {
+    rows: BoxOp,
+    shipment: Arc<Shipment>,
+}
+
+impl Operator for FetchFeed {
+    fn schema(&self) -> &Schema {
+        self.rows.schema()
+    }
+
+    fn next(&mut self) -> Result<Option<Row>, ExecError> {
+        let row = self.rows.next()?;
+        if row.is_some() {
+            // The only writer: a plain load and store, no locked add.
+            let shipped = self.shipment.rows.load(Relaxed);
+            self.shipment.rows.store(shipped + 1, Relaxed);
+        }
+        Ok(row)
     }
 }
 
@@ -108,6 +187,7 @@ pub(crate) fn collect(
     while let Some(r) = rows.next()? {
         out.push(r);
     }
+    rows.settle(&mut stats);
     let spilled = coin_rel::thread_spill_stats().since(&spill_before);
     stats.spill_runs = spilled.runs_written;
     stats.spill_bytes = spilled.bytes_spilled;
@@ -123,7 +203,8 @@ pub(crate) fn collect(
 }
 
 /// Fetch for all `branches` at once (see [`stage_branches`]) and build each
-/// branch's local pipeline over what was staged for it.
+/// branch's local pipeline over what was staged for it, with its streamed
+/// fetch, if any, fed in as a live input.
 pub(crate) fn execute_branches(
     branches: &[Plan],
     dict: &Dictionary,
@@ -132,16 +213,20 @@ pub(crate) fn execute_branches(
     let (staging, stats) = stage_branches(branches, dict, cancel.as_ref())?;
     let rows = branches
         .iter()
-        .zip(&staging)
+        .zip(staging)
         .map(|(plan, staged)| {
             let (schema, op) = coin_rel::build_select_pipeline_cached(
                 &plan.local,
-                staged,
-                coin_rel::Feeds::new(),
+                &staged.catalog,
+                staged.feed.into_iter().collect(),
                 cancel.clone(),
                 Some(&plan.programs),
             )?;
-            Ok(PlanRows { schema, op })
+            Ok(PlanRows {
+                schema,
+                op,
+                shipments: staged.shipments,
+            })
         })
         .collect::<Result<_, PlanError>>()?;
     Ok((rows, stats))
@@ -159,6 +244,23 @@ const FAN_OUT_GAIN_NS: u64 = 500_000;
 /// dependent step with thousands of parameter values.
 const MAX_FAN_OUT: usize = 16;
 
+/// A fetch estimated to ship fewer rows than this is staged, not streamed:
+/// its table fills in microseconds and is small on the heap, while a stream
+/// adds a feed, its count and an operator per row to the branch. A
+/// constant, like the fan-out ones: it weighs two costs of this program,
+/// not of a deployment.
+const STREAM_FROM_ROWS: f64 = 1024.0;
+
+/// What the scheduler made of one branch's fetch steps: a scratch catalog
+/// of staged tables, and at most one fetch opened as a stream instead,
+/// under its binding (the catalog then holds only its schema).
+#[derive(Default)]
+struct Staged {
+    catalog: Catalog,
+    feed: Option<(String, BoxOp)>,
+    shipments: Shipments,
+}
+
 /// The fetch scheduler: run every fetch step of every branch and stage the
 /// shipped results, one scratch catalog per branch.
 ///
@@ -171,6 +273,16 @@ const MAX_FAN_OUT: usize = 16;
 /// mediated query see one snapshot of it. Waves repeat until nothing is
 /// pending; a cancelled token ends the fetching between two waves.
 ///
+/// In a wave that runs on the calling thread, one fetch per branch is
+/// opened as a stream rather than staged: the independent step with the
+/// largest row estimate, if it is at least [`STREAM_FROM_ROWS`], whose
+/// query no other step shares and whose rows feed no dependent step. The branch's pipeline pulls its rows from the
+/// source, so the first result row need not wait for the whole fetch, and
+/// its rows are never held as a table. A wave that fans out stages every
+/// fetch: it fans out because its sources wait, and a streamed fetch would
+/// do whatever waiting comes after its first row on the thread that pulls
+/// the result, after the wave, one source after another.
+///
 /// Requests, jobs, staging, statistics and the choice of error all follow
 /// plan order (branch, then step, then combination) whichever way a wave
 /// ran.
@@ -178,8 +290,8 @@ fn stage_branches(
     branches: &[Plan],
     dict: &Dictionary,
     cancel: Option<&CancelToken>,
-) -> Result<(Vec<Catalog>, ExecStats), PlanError> {
-    let mut staging: Vec<Catalog> = branches.iter().map(|_| Catalog::new()).collect();
+) -> Result<(Vec<Staged>, ExecStats), PlanError> {
+    let mut staging: Vec<Staged> = branches.iter().map(|_| Staged::default()).collect();
     let mut stats = ExecStats::default();
     let mut pending: Vec<(usize, &FetchStep)> = Vec::new();
     for (b, plan) in branches.iter().enumerate() {
@@ -188,7 +300,7 @@ fn stage_branches(
                 // The WHERE clause folded to a non-TRUE constant at plan
                 // time: the block yields no rows, so stage empty tables and
                 // issue zero remote queries.
-                staging[b].add_table(empty_staged(step, dict));
+                staging[b].catalog.add_table(empty_staged(step, dict));
             } else {
                 pending.push((b, step));
             }
@@ -202,7 +314,7 @@ fn stage_branches(
         let mut wave = Wave::default();
         let mut waiting = Vec::new();
         for (b, step) in pending {
-            match parameter_combos(&staging[b], step.params())? {
+            match parameter_combos(&staging[b].catalog, step.params())? {
                 Some(combos) => wave.request(b, step, combos, dict)?,
                 None => waiting.push((b, step)),
             }
@@ -213,7 +325,7 @@ fn stage_branches(
                 waiting[0].1.dependencies().join(", ")
             )));
         }
-        wave.run_and_stage(dict, &mut staging, &mut stats)?;
+        wave.run_and_stage(dict, branches, &mut staging, &mut stats)?;
         pending = waiting;
     }
     Ok((staging, stats))
@@ -231,6 +343,26 @@ struct Job<'p> {
     binding: &'p str,
     /// Steps that asked and have not staged it yet.
     users: usize,
+    /// Open it as a stream for its one user instead of fetching a table.
+    stream: bool,
+}
+
+/// What a job brought back.
+enum Fetched {
+    Table(Table),
+    Stream(Schema, BoxOp),
+}
+
+impl Job<'_> {
+    /// Send the job's query: fetch its table, or open its stream.
+    fn run(&self) -> Result<Fetched, SourceError> {
+        if self.stream {
+            let (schema, rows) = self.from.open(&self.select)?;
+            Ok(Fetched::Stream(schema, rows))
+        } else {
+            self.from.fetch(&self.select).map(Fetched::Table)
+        }
+    }
 }
 
 /// The remote queries that can run now, and who asked for them.
@@ -276,6 +408,7 @@ impl<'p> Wave<'p> {
                     combo,
                     binding: step.binding(),
                     users: 0,
+                    stream: false,
                 });
                 jobs.len() - 1
             });
@@ -286,32 +419,77 @@ impl<'p> Wave<'p> {
         Ok(())
     }
 
-    /// Run the wave's jobs, then stage for every request what it asked for.
+    /// Mark the job each branch streams: of the branch's independent
+    /// steps estimated at [`STREAM_FROM_ROWS`] or more whose one job has no
+    /// other user and whose binding no dependent step reads, the one
+    /// estimated to ship the most rows (the first of equals). Every
+    /// independent step is in the first wave, so a branch streams at most
+    /// one fetch.
+    fn choose_streams(&mut self, branches: &[Plan]) {
+        let mut best: Vec<Option<(usize, f64)>> = vec![None; branches.len()];
+        for (branch, step, mine) in &self.requests {
+            let FetchStep::Independent { est_rows, .. } = step else {
+                continue;
+            };
+            let &[j] = mine.as_slice() else {
+                continue;
+            };
+            let feeds = |s: &FetchStep| s.params().iter().any(|p| p.from_binding == step.binding());
+            if *est_rows < STREAM_FROM_ROWS
+                || self.jobs[j].users > 1
+                || branches[*branch].steps.iter().any(feeds)
+            {
+                continue;
+            }
+            if best[*branch].is_none_or(|(_, most)| *est_rows > most) {
+                best[*branch] = Some((j, *est_rows));
+            }
+        }
+        for (j, _) in best.into_iter().flatten() {
+            self.jobs[j].stream = true;
+        }
+    }
+
+    /// Run the wave's jobs, then stage for every request what it asked for,
+    /// or feed it the stream opened for it.
     fn run_and_stage(
-        self,
+        mut self,
         dict: &Dictionary,
-        staging: &mut [Catalog],
+        branches: &[Plan],
+        staging: &mut [Staged],
         stats: &mut ExecStats,
     ) -> Result<(), PlanError> {
         // Overlapping saves the waiting of every fetch but the longest.
         let waits = self.jobs.iter().map(|job| job.from.wait_ns());
         let (sum, max) = waits.fold((0, 0), |(sum, max): (u64, u64), w| (sum + w, max.max(w)));
-        let tables = if sum - max > FAN_OUT_GAIN_NS {
-            fetch_overlapped(&self.jobs)?
+        let fetched: Vec<Fetched> = if sum - max > FAN_OUT_GAIN_NS {
+            let tables = fetch_overlapped(&self.jobs)?;
+            tables.into_iter().map(Fetched::Table).collect()
         } else {
-            (self.jobs.iter())
-                .map(|job| job.from.fetch(&job.select))
-                .collect::<Result<Vec<_>, _>>()?
+            self.choose_streams(branches);
+            (self.jobs.iter()).map(Job::run).collect::<Result<_, _>>()?
         };
 
-        let mut shipped: Vec<(Option<Arc<Table>>, usize)> = Vec::with_capacity(tables.len());
-        for (job, mut table) in self.jobs.iter().zip(tables) {
+        let mut shipped: Vec<(Option<Arc<Table>>, usize)> = Vec::with_capacity(fetched.len());
+        let mut streams: Vec<Option<(Schema, BoxOp)>> = Vec::with_capacity(fetched.len());
+        for (job, fetched) in self.jobs.iter().zip(fetched) {
+            // A streamed query is counted when it is opened; its rows and
+            // their cost when its stream ends (`Shipments::settle`).
             stats.remote_queries += 1;
-            stats.rows_shipped += table.rows.len();
-            let cost = job.from.source.capabilities().cost;
-            stats.comm_cost += cost.latency + cost.per_tuple * table.rows.len() as f64;
-            table.name = job.binding.to_owned();
-            shipped.push((Some(Arc::new(table)), job.users));
+            match fetched {
+                Fetched::Table(mut table) => {
+                    stats.rows_shipped += table.rows.len();
+                    let cost = job.from.source.capabilities().cost;
+                    stats.comm_cost += cost.latency + cost.per_tuple * table.rows.len() as f64;
+                    table.name = job.binding.to_owned();
+                    shipped.push((Some(Arc::new(table)), job.users));
+                    streams.push(None);
+                }
+                Fetched::Stream(schema, rows) => {
+                    shipped.push((None, 0));
+                    streams.push(Some((schema, rows)));
+                }
+            }
         }
         // A request's handle on a job's table: the only handle left when
         // the request is the job's last user, so that it can take the rows.
@@ -326,6 +504,22 @@ impl<'p> Wave<'p> {
             table.expect("claimed once per user")
         };
         for (branch, step, mine) in self.requests {
+            let staged = &mut staging[branch];
+            if let &[only] = mine.as_slice() {
+                if let Some((schema, rows)) = streams[only].take() {
+                    let shipment = Arc::new(Shipment {
+                        rows: AtomicUsize::new(0),
+                        cost: self.jobs[only].from.source.capabilities().cost,
+                    });
+                    staged.shipments.0.push(Arc::clone(&shipment));
+                    // The catalog entry only lends the feed's schema to
+                    // name resolution; the pipeline scans the feed.
+                    staged.catalog.add_table(Table::new(step.binding(), schema));
+                    let feed = Box::new(FetchFeed { rows, shipment });
+                    staged.feed = Some((step.binding().to_owned(), feed));
+                    continue;
+                }
+            }
             let table = match mine.split_first() {
                 // No parameter values: an empty relation of the right shape.
                 None => Arc::new(empty_staged(step, dict)),
@@ -341,7 +535,7 @@ impl<'p> Wave<'p> {
                     Arc::new(merged)
                 }
             };
-            staging[branch].add_shared(if table.name == step.binding() {
+            staged.catalog.add_shared(if table.name == step.binding() {
                 table
             } else {
                 let mut table = Arc::unwrap_or_clone(table);

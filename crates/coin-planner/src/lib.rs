@@ -23,7 +23,7 @@ pub mod optimize;
 pub mod plan;
 
 pub use dictionary::{DictError, Dictionary};
-pub use exec::{execute_plan, ExecStats, PlanRows};
+pub use exec::{execute_plan, ExecStats, PlanRows, Shipments};
 pub use optimize::Planner;
 pub use plan::{FetchStep, ParamBinding, Plan, PlanError, QueryPlan};
 
@@ -53,14 +53,17 @@ impl Planner {
     }
 
     /// Execute a compiled [`QueryPlan`] as a row stream: the fetch steps of
-    /// all branches run eagerly under one scheduler — a remote query that
-    /// several branches need is sent once, and fetches that wait on slow
-    /// sources overlap (communication statistics in the returned
-    /// [`ExecStats`] are final) — but local joins, residuals, the UNION
-    /// merge and set-semantics deduplication all stream — nothing
-    /// materializes the combined result. Spill statistics accrue on the
-    /// pulling thread while the stream drains; callers wanting per-query
-    /// spill accounting bracket the drain with
+    /// all branches run under one scheduler — a remote query that several
+    /// branches need is sent once, and fetches that wait on slow sources
+    /// overlap — before the stream is returned, except that each branch
+    /// may open its largest fetch as a stream that the pipeline pulls from
+    /// the source. Local joins, residuals, the UNION merge and
+    /// set-semantics deduplication all stream — nothing materializes the
+    /// combined result. The returned [`ExecStats`] counts every remote
+    /// query; what the streamed fetches ship is added by
+    /// [`PlanRows::settle`] once the stream is drained. Spill statistics
+    /// accrue on the pulling thread while the stream drains; callers
+    /// wanting per-query spill accounting bracket the drain with
     /// [`coin_rel::thread_spill_stats`].
     pub fn execute_planned_stream(
         &self,
@@ -72,8 +75,10 @@ impl Planner {
         let (branches, stats) = exec::execute_branches(&plan.branches, &self.dictionary, cancel)?;
         let mut ops: Vec<coin_rel::BoxOp> = Vec::new();
         let mut schema: Option<coin_rel::Schema> = None;
+        let mut shipments = exec::Shipments::default();
         for rows in branches {
-            let (sch, op) = rows.into_parts();
+            let (sch, op, shipped) = rows.into_parts();
+            shipments.extend(shipped);
             match &schema {
                 None => {
                     schema = Some(sch);
@@ -102,7 +107,10 @@ impl Planner {
             // materialized sort+dedup produced.
             op = Box::new(Distinct::new(op));
         }
-        Ok((exec::PlanRows::from_parts(schema, op), stats))
+        Ok((
+            exec::PlanRows::from_parts(schema, op).shipping(shipments),
+            stats,
+        ))
     }
 
     /// Plan and execute a full query — the compile-and-run convenience

@@ -8,12 +8,12 @@ mod support;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::SeqCst;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use coin_planner::{execute_plan, PlanError, Planner, QueryPlan};
-use coin_rel::{CancelToken, EngineError, ExecError, Value};
-use coin_wrapper::{Source, SourceError};
+use coin_planner::{execute_plan, Dictionary, PlanError, Planner, QueryPlan};
+use coin_rel::{CancelToken, Catalog, ColumnType, EngineError, ExecError, Schema, Table, Value};
+use coin_wrapper::{RelationalSource, Source, SourceError};
 
 use support::{injected_figure2, Latency, Probes, MEDIATED_Q1};
 
@@ -173,6 +173,58 @@ fn waiting_sources_overlap_after_one_warm_up() {
     let here = std::thread::current().id();
     assert!(probes.all().any(|p| p.threads().iter().any(|t| *t != here)));
     assert!(probes.all().all(|p| p.in_flight.load(SeqCst) == 0));
+}
+
+/// A branch's one large independent fetch is opened as a stream: its
+/// query is counted at once, its rows when the stream is settled, and the
+/// source's wait before its first row is measured as a staged fetch's is,
+/// so `observed_wait` moves and later waves can overlap it. A fetch too
+/// small to stream is staged and counted at once.
+#[test]
+fn a_streamed_fetch_is_counted_on_settling_and_timed_on_opening() {
+    let _quiet = one_at_a_time();
+    const LATENCY: Duration = Duration::from_millis(20);
+    const ROWS: usize = 2_000;
+    let big = Table::from_rows(
+        "big",
+        Schema::of(&[("id", ColumnType::Int)]),
+        (0..ROWS as i64).map(|i| vec![Value::Int(i)]).collect(),
+    );
+    let source = RelationalSource::new("bulk", Catalog::new().with_table(big));
+    let sleepy = support::Injected::new(Arc::new(source), Latency::Sleep(LATENCY));
+    let probe = sleepy.probe();
+    let mut dict = Dictionary::new();
+    dict.register_source(sleepy).unwrap();
+    let planner = Planner::new(dict);
+    let plan = |sql| {
+        planner
+            .plan_query(&coin_sql::parse_query(sql).unwrap())
+            .unwrap()
+    };
+    let (whole, few) = (
+        plan("SELECT big.id FROM big"),
+        plan("SELECT big.id FROM big WHERE big.id = 7"),
+    );
+    for _ in 0..2 {
+        let (mut rows, mut stats) = planner.execute_planned_stream(&whole, None).unwrap();
+        assert_eq!((stats.remote_queries, stats.rows_shipped), (1, 0));
+        let mut n = 0;
+        while rows.next().unwrap().is_some() {
+            n += 1;
+        }
+        rows.settle(&mut stats);
+        assert_eq!(
+            (n, stats.remote_queries, stats.rows_shipped),
+            (ROWS, 1, ROWS)
+        );
+    }
+    let (_, stats) = planner.execute_planned_stream(&few, None).unwrap();
+    assert_eq!((stats.remote_queries, stats.rows_shipped), (1, 1));
+    assert_eq!(probe.calls.load(SeqCst), 3);
+    // The first fetch is timed unmeasured (at most 125 µs of wait), the
+    // second measured: only a recorded 20 ms wait lifts the floor past 1 ms.
+    let wait = planner.dictionary.observed_wait("bulk").unwrap();
+    assert!(wait > Duration::from_millis(1), "{wait:?}");
 }
 
 #[test]

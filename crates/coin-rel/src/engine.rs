@@ -548,17 +548,23 @@ pub fn build_select_pipeline_cached(
         carried = (keep_left.iter().map(|&i| carried[i]))
             .chain(keep_right.iter().map(|&j| offsets[t] + j))
             .collect();
+        // A feed, of unknown size, streams past a staged table; of two
+        // staged inputs a nested loop holds the smaller.
+        let hold_left = match (op_rows, scan_rows) {
+            (Some(l), Some(r)) => lkeys.is_empty() && l < r,
+            (l, r) => l.is_some() && r.is_none(),
+        };
         op = if !lkeys.is_empty() {
             let join = HashJoin::compiled(op, scan, lkeys, rkeys, pred);
-            Box::new(join.keeping(keep_left, keep_right))
+            let join = join.keeping(keep_left, keep_right);
+            Box::new(if hold_left {
+                join.building_left()
+            } else {
+                join
+            })
         } else {
             let join = NestedLoopJoin::compiled(op, scan, pred).keeping(keep_left, keep_right);
-            // Hold whichever side is smaller, so the larger one streams and
-            // the first row leaves early.
-            match (op_rows, scan_rows) {
-                (Some(l), Some(r)) if l < r => Box::new(join.holding_left()),
-                _ => Box::new(join),
-            }
+            Box::new(if hold_left { join.holding_left() } else { join })
         };
         op_rows = op_rows.zip(scan_rows).map(|(l, r)| l.saturating_mul(r));
     }

@@ -722,24 +722,28 @@ pub fn hash_values(vals: &[Value]) -> u64 {
 /// Hash (equi-)join: `left.keyL = right.keyR` column pairs, with an optional
 /// residual predicate evaluated over each key-matching pair in place (a
 /// [`Joined`] view, compiled against the left schema followed by the right
-/// one). Builds a [`ChainIndex`] over the right input, bucketed by
-/// [`hash_row_key`]; every probe candidate is confirmed with SQL equality on
-/// the key columns, so hash collisions can never manufacture a match. A
-/// left row meets its matches in the right input's arrival order. Output
-/// rows are `left ++ right`, or the columns [`HashJoin::keeping`] lists.
+/// one). Builds a [`ChainIndex`] over one input — the right one unless
+/// [`HashJoin::building_left`] chose the left — bucketed by
+/// [`hash_row_key`], and streams the other past it; every probe candidate
+/// is confirmed with SQL equality on the key columns, so hash collisions
+/// can never manufacture a match. A probe row meets its matches in the
+/// built input's arrival order. Output rows are `left ++ right`, or the
+/// columns [`HashJoin::keeping`] lists; only their order depends on which
+/// side is built.
 pub struct HashJoin {
-    left: BoxOp,
+    probe: BoxOp,
     build: Option<BoxOp>,
     /// Build rows in arrival order; the index numbers them.
     build_rows: Vec<Row>,
     table: ChainIndex,
-    left_keys: Vec<usize>,
-    right_keys: Vec<usize>,
+    probe_keys: Vec<usize>,
+    build_keys: Vec<usize>,
+    build_left: bool,
     residual: Option<Arc<ExprProg>>,
     regs: Vec<Value>,
     out: JoinOutput,
-    current_left: Option<Row>,
-    /// The next build row to try against `current_left`.
+    current: Option<Row>,
+    /// The next build row to try against `current`.
     candidate: Option<usize>,
 }
 
@@ -767,18 +771,31 @@ impl HashJoin {
         assert!(!left_keys.is_empty());
         let out = JoinOutput::full(left.schema(), right.schema());
         HashJoin {
-            left,
+            probe: left,
             build: Some(right),
             build_rows: Vec::new(),
             table: ChainIndex::default(),
-            left_keys,
-            right_keys,
+            probe_keys: left_keys,
+            build_keys: right_keys,
+            build_left: false,
             residual,
             regs: Vec::new(),
             out,
-            current_left: None,
+            current: None,
             candidate: None,
         }
+    }
+
+    /// Build the index over the left input and stream the right one past
+    /// it instead.
+    pub fn building_left(mut self) -> HashJoin {
+        if !self.build_left {
+            let right = self.build.take().expect("built, not yet pulled");
+            self.build = Some(std::mem::replace(&mut self.probe, right));
+            std::mem::swap(&mut self.probe_keys, &mut self.build_keys);
+            self.build_left = true;
+        }
+        self
     }
 
     /// Emit only `left` of the left input's columns followed by `right` of
@@ -793,10 +810,10 @@ impl HashJoin {
     fn build(&mut self, mut src: BoxOp) -> Result<(), ExecError> {
         let mut hashes = Vec::new();
         while let Some(row) = src.next()? {
-            if self.right_keys.iter().any(|&i| row[i].is_null()) {
+            if self.build_keys.iter().any(|&i| row[i].is_null()) {
                 continue;
             }
-            hashes.push(hash_row_key(&row, &self.right_keys));
+            hashes.push(hash_row_key(&row, &self.build_keys));
             self.build_rows.push(row);
         }
         // A scan that moved its rows out still holds their old buffer.
@@ -806,11 +823,11 @@ impl HashJoin {
     }
 
     /// SQL `=` over the key columns of a probe/build row pair.
-    fn keys_equal(&self, l: &Row, r: &Row) -> bool {
-        self.left_keys
+    fn keys_equal(&self, p: &Row, b: &Row) -> bool {
+        self.probe_keys
             .iter()
-            .zip(&self.right_keys)
-            .all(|(&li, &ri)| l[li].sql_cmp(&r[ri]) == Some(std::cmp::Ordering::Equal))
+            .zip(&self.build_keys)
+            .all(|(&pi, &bi)| p[pi].sql_cmp(&b[bi]) == Some(std::cmp::Ordering::Equal))
     }
 }
 
@@ -824,28 +841,29 @@ impl Operator for HashJoin {
             self.build(src)?;
         }
         loop {
-            if let Some(l) = &self.current_left {
+            if let Some(p) = &self.current {
                 while let Some(m) = self.candidate {
                     self.candidate = self.table.after(m);
-                    let r = &self.build_rows[m];
-                    if !self.keys_equal(l, r) {
+                    let b = &self.build_rows[m];
+                    if !self.keys_equal(p, b) {
                         continue;
                     }
+                    let (l, r) = if self.build_left { (b, p) } else { (p, b) };
                     match &self.residual {
-                        Some(p) if !p.matches(&Joined(l, r), &mut self.regs)? => continue,
+                        Some(pred) if !pred.matches(&Joined(l, r), &mut self.regs)? => continue,
                         _ => return Ok(Some(self.out.row(l, r))),
                     }
                 }
-                self.current_left = None;
+                self.current = None;
             }
-            match self.left.next()? {
+            match self.probe.next()? {
                 None => return Ok(None),
-                Some(l) => {
-                    if self.left_keys.iter().any(|&i| l[i].is_null()) {
+                Some(p) => {
+                    if self.probe_keys.iter().any(|&i| p[i].is_null()) {
                         continue;
                     }
-                    self.candidate = self.table.first(hash_row_key(&l, &self.left_keys));
-                    self.current_left = Some(l);
+                    self.candidate = self.table.first(hash_row_key(&p, &self.probe_keys));
+                    self.current = Some(p);
                 }
             }
         }
@@ -1162,7 +1180,7 @@ impl AggFn {
 
 /// Accumulator for one aggregate over one group.
 #[derive(Debug, Clone)]
-pub(crate) enum Acc {
+enum Acc {
     Count(i64),
     Sum {
         sum: f64,
@@ -1181,7 +1199,7 @@ pub(crate) enum Acc {
 }
 
 impl Acc {
-    pub(crate) fn new(f: AggFn) -> Acc {
+    fn new(f: AggFn) -> Acc {
         match f {
             AggFn::CountStar | AggFn::Count => Acc::Count(0),
             AggFn::Sum => Acc::Sum {
@@ -1202,7 +1220,7 @@ impl Acc {
         }
     }
 
-    pub(crate) fn update(&mut self, v: Option<&Value>) -> Result<(), ExecError> {
+    fn update(&mut self, v: Option<&Value>) -> Result<(), ExecError> {
         match self {
             Acc::Count(n) => match v {
                 // COUNT(*) gets None; COUNT(e) skips NULLs.
@@ -1276,7 +1294,7 @@ impl Acc {
         Ok(())
     }
 
-    pub(crate) fn finish(self) -> Value {
+    fn finish(self) -> Value {
         match self {
             Acc::Count(n) => Value::Int(n),
             Acc::Sum {

@@ -17,8 +17,6 @@
 //! * [`tempstore`] — the "local secondary storage" of the prototype: spill
 //!   files and an external merge sorter with bounded memory, with per-store
 //!   and per-thread spill accounting;
-//! * [`mod@reference`] — the pre-optimization operator implementations,
-//!   kept as equivalence-test oracles;
 //! * [`engine`] — a per-source SQL processor: parse → normalize → operator
 //!   tree → result table, with filter pushdown and equi-join detection.
 //!
@@ -44,7 +42,6 @@ pub mod engine;
 pub mod exec;
 pub mod expr;
 pub mod prog;
-pub mod reference;
 pub mod schema;
 pub mod tempstore;
 pub mod value;

@@ -433,6 +433,70 @@ fn self_join_over_a_fed_table() {
     assert_eq!(got, want);
 }
 
+/// A feed that counts the rows pulled from it.
+struct Pulled {
+    rows: BoxOp,
+    pulled: Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl coin_rel::Operator for Pulled {
+    fn schema(&self) -> &Schema {
+        self.rows.schema()
+    }
+
+    fn next(&mut self) -> Result<Option<coin_rel::Row>, ExecError> {
+        let row = self.rows.next()?;
+        self.pulled.fetch_add(
+            usize::from(row.is_some()),
+            std::sync::atomic::Ordering::SeqCst,
+        );
+        Ok(row)
+    }
+}
+
+/// A one-row staged table joined to a 10,000-row feed, by a nested loop
+/// and by a hash join, on either side: the join holds the staged row and
+/// streams the feed, so the first result needs one row of the feed.
+#[test]
+fn a_join_holds_the_staged_side_and_streams_the_feed() {
+    const FED: i64 = 10_000;
+    let schema = Schema::of(&[("k", ColumnType::Int), ("v", ColumnType::Int)]);
+    let fed = Schema::of(&[
+        ("k", ColumnType::Int),
+        ("v", ColumnType::Int),
+        ("z", ColumnType::Int),
+    ]);
+    let one = Table::from_rows("one", schema, vec![vec![Value::Int(0), Value::Int(-1)]]);
+    let catalog = Catalog::new()
+        .with_table(one)
+        .with_table(Table::new("fed", fed.clone()));
+    for sql in [
+        "SELECT fed.k, one.v FROM one, fed WHERE one.v < fed.v",
+        "SELECT fed.k, one.v FROM fed, one WHERE one.v < fed.v",
+        "SELECT fed.k, one.v FROM one, fed WHERE one.k = fed.z",
+        "SELECT fed.k, one.v FROM fed, one WHERE fed.z = one.k AND one.v < fed.v",
+    ] {
+        let pulled = Arc::default();
+        let rows = (0..FED).map(|i| vec![Value::Int(i), Value::Int(i), Value::Int(0)]);
+        let feed = Pulled {
+            rows: Box::new(ValuesScan::new(fed.clone(), rows.collect())),
+            pulled: Arc::clone(&pulled),
+        };
+        let mut feeds = Feeds::new();
+        feeds.insert("fed".into(), Box::new(feed) as BoxOp);
+        let Query::Select(s) = coin_sql::parse_query(sql).unwrap() else {
+            unreachable!()
+        };
+        let (_, mut op) = build_select_pipeline(&s, &catalog, feeds, None).unwrap();
+        let first = op.next().unwrap().expect("a first row");
+        assert_eq!(first, vec![Value::Int(0), Value::Int(-1)], "{sql}");
+        let seen = pulled.load(std::sync::atomic::Ordering::SeqCst);
+        assert_eq!(seen, 1, "{sql}: {seen} feed rows pulled for the first row");
+        assert_eq!(drain(op).unwrap().len() as i64, FED - 1, "{sql}");
+        assert_eq!(pulled.load(std::sync::atomic::Ordering::SeqCst) as i64, FED);
+    }
+}
+
 #[test]
 fn join_predicate_runs_in_the_first_join_that_binds_its_tables() {
     let cat = figure2_catalog();

@@ -5,9 +5,11 @@
 //! external-sort distinct), and the results must be identical multisets —
 //! in fact identical sequences wherever both sides define an output order.
 //! The row-ownership choices of the pipeline are held to the same standard:
-//! a nested loop holding either side, a pruned scan against scan + project,
-//! and a scan that moves its rows against one that clones them.
+//! a nested loop holding and a hash join building on either side, a pruned
+//! scan against scan + project, and a scan that moves its rows against one
+//! that clones them.
 
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use coin_rel::exec::{
@@ -15,7 +17,6 @@ use coin_rel::exec::{
     ValuesScan,
 };
 use coin_rel::expr::CExpr;
-use coin_rel::reference::{BTreeAggregate, StringKeyHashJoin};
 use coin_rel::tempstore::cmp_rows;
 use coin_rel::{execute_sql, Catalog, ColumnType, Row, Schema, Table, Value};
 use coin_sql::BinOp;
@@ -116,6 +117,102 @@ fn agg_schema() -> Schema {
     ])
 }
 
+/// The pre-optimization hash join, kept as an oracle: a `HashMap` keyed by
+/// a canonical string built for every build and probe row (numbers widened,
+/// so `Int(2)` and `Float(2.0)` share a key), and the residual evaluated by
+/// the tree walker over each concatenated pair.
+fn string_key_hash_join(
+    left: Vec<Row>,
+    right: Vec<Row>,
+    keys: (&[usize], &[usize]),
+    residual: Option<CExpr>,
+) -> Vec<Row> {
+    fn string_key(row: &Row, keys: &[usize]) -> Option<String> {
+        let mut s = String::new();
+        for &i in keys {
+            match &row[i] {
+                Value::Null => return None,
+                Value::Bool(b) => s.push_str(if *b { "\u{1}T" } else { "\u{1}F" }),
+                v if v.is_number() => s.push_str(&format!("\u{1}#{:?}", v.as_f64().unwrap())),
+                Value::Str(t) => s.push_str(&format!("\u{1}S{t}")),
+                _ => unreachable!("every value is one of the above"),
+            }
+        }
+        Some(s)
+    }
+    let mut built: HashMap<String, Vec<Row>> = HashMap::new();
+    for row in right {
+        if let Some(k) = string_key(&row, keys.1) {
+            built.entry(k).or_default().push(row);
+        }
+    }
+    let mut out = Vec::new();
+    for l in left {
+        let Some(matches) = string_key(&l, keys.0).and_then(|k| built.get(&k)) else {
+            continue;
+        };
+        for r in matches {
+            let mut combined = l.clone();
+            combined.extend(r.iter().cloned());
+            if residual
+                .as_ref()
+                .is_none_or(|p| p.matches(&combined).unwrap())
+            {
+                out.push(combined);
+            }
+        }
+    }
+    out
+}
+
+/// `Vec<Value>` in `Value::total_cmp` order, as a `BTreeMap` group key.
+#[derive(PartialEq)]
+struct GroupKey(Vec<Value>);
+
+impl Eq for GroupKey {}
+
+impl PartialOrd for GroupKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for GroupKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.0.iter().zip(&other.0))
+            .map(|(a, b)| a.total_cmp(b))
+            .find(|o| o.is_ne())
+            .unwrap_or(self.0.len().cmp(&other.0.len()))
+    }
+}
+
+/// The pre-optimization aggregation, kept as an oracle: rows grouped in a
+/// `BTreeMap` by their evaluated key, each group's aggregates computed by a
+/// global `Aggregate` over its own rows; with no GROUP BY, one row even
+/// over no input.
+fn btree_aggregate(
+    rows: Vec<Row>,
+    group_exprs: &[CExpr],
+    specs: impl Fn() -> Vec<AggSpec>,
+) -> Vec<Row> {
+    let mut groups: BTreeMap<GroupKey, Vec<Row>> = BTreeMap::new();
+    for row in rows {
+        let key = group_exprs.iter().map(|e| e.eval(&row).unwrap());
+        groups.entry(GroupKey(key.collect())).or_default().push(row);
+    }
+    if groups.is_empty() && group_exprs.is_empty() {
+        groups.insert(GroupKey(Vec::new()), Vec::new());
+    }
+    (groups.into_iter())
+        .map(|(key, rows)| {
+            let agg = Aggregate::new(scan(rows), vec![], specs(), Schema::default());
+            let mut row = key.0;
+            row.extend(drain(Box::new(agg)).unwrap().remove(0));
+            row
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 96,
@@ -131,15 +228,30 @@ proptest! {
         let hj = HashJoin::new(scan(l.clone()), scan(r.clone()), vec![0], vec![0], None);
         let new = sorted(drain(Box::new(hj)).unwrap());
 
-        let legacy = StringKeyHashJoin::new(
-            scan(l.clone()), scan(r.clone()), vec![0], vec![0], None);
-        let old = sorted(drain(Box::new(legacy)).unwrap());
+        let old = sorted(string_key_hash_join(l.clone(), r.clone(), (&[0], &[0]), None));
         prop_assert_eq!(&new, &old);
 
         let pred = CExpr::Cmp(Box::new(CExpr::Col(0)), BinOp::Eq, Box::new(CExpr::Col(2)));
         let nl = NestedLoopJoin::new(scan(l), scan(r), Some(pred));
         let nested = sorted(drain(Box::new(nl)).unwrap());
         prop_assert_eq!(&new, &nested);
+    }
+
+    /// A hash join building on its left input == one building on its right
+    /// input, as multisets, with and without a residual.
+    #[test]
+    fn hash_join_building_either_side_agrees(l in arb_rows(2, 14), r in arb_rows(2, 14)) {
+        let residual = || Some(CExpr::Cmp(
+            Box::new(CExpr::Col(1)), BinOp::Lt, Box::new(CExpr::Col(3))));
+        for pred in [None, residual()] {
+            let right = HashJoin::new(scan(l.clone()), scan(r.clone()), vec![0], vec![0], pred.clone());
+            let left = HashJoin::new(scan(l.clone()), scan(r.clone()), vec![0], vec![0], pred)
+                .building_left();
+            prop_assert_eq!(
+                multiset(drain(Box::new(right)).unwrap()),
+                multiset(drain(Box::new(left)).unwrap())
+            );
+        }
     }
 
     /// A nested loop holding its left input == one holding its right input
@@ -206,9 +318,7 @@ proptest! {
         let hj = HashJoin::new(
             scan(l.clone()), scan(r.clone()), vec![0, 1], vec![0, 1], residual());
         let new = sorted(drain(Box::new(hj)).unwrap());
-        let legacy = StringKeyHashJoin::new(
-            scan(l), scan(r), vec![0, 1], vec![0, 1], residual());
-        let old = sorted(drain(Box::new(legacy)).unwrap());
+        let old = sorted(string_key_hash_join(l, r, (&[0, 1], &[0, 1]), residual()));
         prop_assert_eq!(new, old);
     }
 
@@ -219,9 +329,7 @@ proptest! {
         let agg = Aggregate::new(
             scan(rows.clone()), vec![CExpr::Col(0)], count_sum_specs(), agg_schema());
         let new = drain(Box::new(agg)).unwrap();
-        let legacy = BTreeAggregate::new(
-            scan(rows), vec![CExpr::Col(0)], count_sum_specs(), agg_schema());
-        let old = drain(Box::new(legacy)).unwrap();
+        let old = btree_aggregate(rows, &[CExpr::Col(0)], count_sum_specs);
         prop_assert_eq!(new, old);
     }
 
@@ -236,17 +344,14 @@ proptest! {
         let agg = Aggregate::new(
             scan(rows.clone()), vec![CExpr::Col(0), CExpr::Col(1)], specs(), schema.clone());
         let new = drain(Box::new(agg)).unwrap();
-        let legacy = BTreeAggregate::new(
-            scan(rows.clone()), vec![CExpr::Col(0), CExpr::Col(1)], specs(), schema);
-        let old = drain(Box::new(legacy)).unwrap();
+        let old = btree_aggregate(rows.clone(), &[CExpr::Col(0), CExpr::Col(1)], specs);
         prop_assert_eq!(new, old);
 
         // Global (no GROUP BY): one row even over the empty input.
         let gschema = Schema::of(&[("n", ColumnType::Int)]);
         let agg = Aggregate::new(scan(rows.clone()), vec![], specs(), gschema.clone());
         let new = drain(Box::new(agg)).unwrap();
-        let legacy = BTreeAggregate::new(scan(rows), vec![], specs(), gschema);
-        let old = drain(Box::new(legacy)).unwrap();
+        let old = btree_aggregate(rows, &[], specs);
         prop_assert_eq!(&new, &old);
         prop_assert_eq!(new.len(), 1);
     }

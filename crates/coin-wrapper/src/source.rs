@@ -11,7 +11,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use coin_rel::{Catalog, Schema, Table};
+use coin_rel::exec::ValuesScan;
+use coin_rel::{BoxOp, Catalog, Schema, Table};
 use coin_sql::{BinOp, Expr, Select};
 
 use crate::exec::{WrapError, WrapperExec};
@@ -117,6 +118,27 @@ pub trait Source: Send + Sync {
     /// Execute a SELECT whose FROM references only this source's tables.
     fn execute_select(&self, select: &Select) -> Result<Table, SourceError>;
 
+    /// Execute a SELECT as a row stream: the answer's schema and an
+    /// operator that yields its rows as they are pulled. The default runs
+    /// [`Source::execute_select`] and scans its table, so every source
+    /// still answers "in a relational table format" (paper §2); a source
+    /// that can produce rows one at a time overrides it.
+    ///
+    /// Failure contract: an error while opening the stream is returned
+    /// here, before any row exists, and fails the whole query as a failed
+    /// [`Source::execute_select`] does. An error after the first row is
+    /// the operator's `next` returning `Err`; the query's row stream then
+    /// fails with it at that point. Rows already pulled may have been
+    /// delivered: a materialising caller (`CoinSystem::query`, a `/query`
+    /// with `"stream": false`) returns the error and no rows, and a
+    /// chunked `/query` response ends without its terminal chunk, so the
+    /// client sees a truncated body rather than a short answer.
+    fn execute_stream(&self, select: &Select) -> Result<(Schema, BoxOp), SourceError> {
+        let table = self.execute_select(select)?;
+        let scan = ValuesScan::new(table.schema.clone(), table.rows);
+        Ok((table.schema, Box::new(scan)))
+    }
+
     /// Number of queries served so far (communication metric).
     fn query_count(&self) -> usize;
 
@@ -147,6 +169,10 @@ impl<S: Source + ?Sized> Source for Arc<S> {
 
     fn execute_select(&self, select: &Select) -> Result<Table, SourceError> {
         (**self).execute_select(select)
+    }
+
+    fn execute_stream(&self, select: &Select) -> Result<(Schema, BoxOp), SourceError> {
+        (**self).execute_stream(select)
     }
 
     fn query_count(&self) -> usize {
@@ -217,6 +243,14 @@ impl Source for RelationalSource {
         self.queries
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(coin_rel::execute_select(select, &self.catalog)?)
+    }
+
+    /// The engine's pipeline over the source's own tables, returned
+    /// unpulled: rows are produced as the consumer asks for them.
+    fn execute_stream(&self, select: &Select) -> Result<(Schema, BoxOp), SourceError> {
+        self.queries
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Ok(coin_rel::execute_select_stream(select, &self.catalog)?)
     }
 
     fn query_count(&self) -> usize {

@@ -50,9 +50,14 @@ fn main() {
     // Context mediation: detect and resolve the conflicts.
     let answer = sys.query(q1, "c_recv").unwrap();
     println!("\nThe context mediator rewrote Q1 into:");
+    let union = if answer.mediated.query.keeps_duplicates() {
+        "UNION ALL"
+    } else {
+        "UNION"
+    };
     for (i, branch) in answer.mediated.query.branches().iter().enumerate() {
         if i > 0 {
-            println!("UNION");
+            println!("{union}");
         }
         println!("  {branch}");
     }
