@@ -47,8 +47,8 @@
 
 use std::sync::Arc;
 
-use coin_planner::{ExecStats, QueryPlan, Shipments};
-use coin_rel::{BoxOp, CancelToken, Catalog, Row, Schema, SpillStats, Table};
+use coin_planner::{ExecStats, PlanError, PlanRows, QueryPlan};
+use coin_rel::{CancelToken, Catalog, Row, Schema, Table};
 use coin_sql::{Query, Select};
 
 use crate::mediate::Mediated;
@@ -231,14 +231,12 @@ impl PreparedQuery {
                 current: system.epoch(),
             });
         }
-        let spill_before = coin_rel::thread_spill_stats();
-        let (rows, mut stats) = system
+        let rows = system
             .planner
             .execute_planned_stream(&self.plan, cancel.clone())?;
-        let (schema, op, shipments) = rows.into_parts();
-        let (schema, op) = match &self.outer {
-            None => (schema, op),
-            Some(outer) => {
+        let mut rows = match &self.outer {
+            None => rows,
+            Some(outer) => rows.pipe(|schema, op| {
                 // Feed the mediated pipeline into the outer block as the
                 // live `mediated` binding; the catalog entry is an empty
                 // placeholder that only lends its schema to normalization.
@@ -256,9 +254,10 @@ impl PreparedQuery {
                     feeds,
                     cancel,
                     Some(&self.outer_programs),
-                )?
-            }
+                )
+            })?,
         };
+        let stats = rows.stats_mut();
         stats.plan_epoch = self.epoch;
         // Lock-free counter read: executions must not contend on the
         // cache mutex just to report statistics.
@@ -266,14 +265,9 @@ impl PreparedQuery {
         stats.cache_hits = hits;
         stats.cache_misses = misses;
         Ok(MediatedRows {
-            schema,
-            op,
+            rows,
             mediated: Arc::clone(&self.mediated),
             cache: CacheStatus::Prepared,
-            stats,
-            shipments,
-            spill_before,
-            done: false,
         })
     }
 }
@@ -288,20 +282,15 @@ impl PreparedQuery {
 /// cross-thread drain would misattribute disk activity. Dropping the
 /// stream early aborts the plan and frees staged intermediates.
 pub struct MediatedRows {
-    schema: Schema,
-    op: BoxOp,
+    rows: PlanRows,
     mediated: Arc<Mediated>,
     cache: CacheStatus,
-    stats: ExecStats,
-    shipments: Shipments,
-    spill_before: SpillStats,
-    done: bool,
 }
 
 impl MediatedRows {
     /// The result schema (column names and types).
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.rows.schema()
     }
 
     /// The mediation report (compile-side provenance).
@@ -323,12 +312,12 @@ impl MediatedRows {
     /// fetches as the pipeline pulls them, and the spill fields settle
     /// once the stream has been fully drained ([`MediatedRows::finished`]).
     pub fn stats(&self) -> &ExecStats {
-        &self.stats
+        self.rows.stats()
     }
 
     /// Has the stream been drained to the end?
     pub fn finished(&self) -> bool {
-        self.done
+        self.rows.finished()
     }
 
     /// The next result row; `None` (repeatedly) once exhausted.
@@ -337,38 +326,25 @@ impl MediatedRows {
     /// (`Result<Option<Row>, _>`), matching `Operator::next`.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Row>, CoinError> {
-        if self.done {
-            return Ok(None);
-        }
-        match self.op.next().map_err(coin_rel::EngineError::from)? {
-            Some(row) => Ok(Some(row)),
-            None => {
-                self.done = true;
-                self.shipments.settle(&mut self.stats);
-                let spilled = coin_rel::thread_spill_stats().since(&self.spill_before);
-                self.stats.spill_runs = spilled.runs_written;
-                self.stats.spill_bytes = spilled.bytes_spilled;
-                self.stats.spill_max_run_bytes = spilled.max_run_bytes;
-                Ok(None)
-            }
-        }
+        self.rows.next().map_err(pipeline_error)
     }
 
     /// Drain the remaining rows into a materialized [`MediatedAnswer`].
-    pub fn collect(mut self) -> Result<MediatedAnswer, CoinError> {
-        let mut rows = Vec::new();
-        while let Some(row) = self.next()? {
-            rows.push(row);
-        }
+    pub fn collect(self) -> Result<MediatedAnswer, CoinError> {
+        let (table, stats) = self.rows.collect().map_err(pipeline_error)?;
         Ok(MediatedAnswer {
-            table: Table {
-                name: "result".into(),
-                schema: self.schema,
-                rows,
-            },
+            table,
             mediated: self.mediated,
-            stats: self.stats,
+            stats,
             cache: self.cache,
         })
+    }
+}
+
+/// Pulling rows can fail only in the engine: report it as such.
+fn pipeline_error(e: PlanError) -> CoinError {
+    match e {
+        PlanError::Engine(e) => CoinError::Engine(e),
+        e => CoinError::Plan(e),
     }
 }

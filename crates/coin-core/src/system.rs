@@ -510,12 +510,14 @@ impl CoinSystem {
         Ok(self.planner.run_sql(sql)?)
     }
 
-    /// Streaming counterpart of [`CoinSystem::query_naive`].
+    /// Streaming counterpart of [`CoinSystem::query_naive`]; the rows'
+    /// statistics are complete once they are drained
+    /// ([`coin_planner::PlanRows::stats`]).
     pub fn query_naive_stream(
         &self,
         sql: &str,
         cancel: Option<coin_rel::CancelToken>,
-    ) -> Result<(coin_planner::PlanRows, coin_planner::ExecStats), CoinError> {
+    ) -> Result<coin_planner::PlanRows, CoinError> {
         Ok(self.planner.run_sql_stream(sql, cancel)?)
     }
 }

@@ -12,14 +12,16 @@
 //! branch may take one fetch as a stream instead of a staged table: its
 //! source's rows then enter the local pipeline as they are pulled
 //! ([`coin_wrapper::Source::execute_stream`]), and what that fetch shipped
-//! is known only when its stream ends ([`Shipments`]).
+//! is known only when its stream ends ([`PlanRows::stats`]).
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 use coin_rel::exec::{hash_row_key, hash_values, ChainIndex};
-use coin_rel::{BoxOp, CancelToken, Catalog, ExecError, Operator, Row, Schema, Table, Value};
+use coin_rel::{
+    BoxOp, CancelToken, Catalog, ExecError, Operator, Row, Schema, SpillStats, Table, Value,
+};
 use coin_sql::{BinOp, ColumnRef, Expr, Select};
 use coin_wrapper::{CostParams, SourceError};
 
@@ -59,88 +61,120 @@ pub struct ExecStats {
 
 /// A streaming plan execution: the fetch steps have already run or been
 /// opened, and local rows are pulled on demand through the `coin-rel`
-/// operator pipeline. The remote-query count is final from the start;
-/// what the streamed fetches ship is counted as the pipeline pulls it
-/// ([`PlanRows::settle`]). Dropping it aborts the plan — staged
+/// operator pipeline. It owns the execution's [`ExecStats`]: the
+/// remote-query count is final from the start, and what the streamed
+/// fetches shipped and the spill counters are added when the last row has
+/// been pulled ([`PlanRows::stats`]). Pull it on the thread that started
+/// the execution — spill accounting reads the thread-local counters
+/// ([`coin_rel::thread_spill_stats`]). Dropping it aborts the plan — staged
 /// intermediates, open fetches and spill files are freed.
 pub struct PlanRows {
     schema: Schema,
     op: BoxOp,
-    shipments: Shipments,
+    stats: ExecStats,
+    /// The streamed fetches the pipeline pulls from.
+    shipments: Vec<Arc<Shipment>>,
+    spill_before: SpillStats,
+    done: bool,
 }
 
 impl PlanRows {
+    /// Rows of `op` with no remote query behind them.
     pub fn from_parts(schema: Schema, op: BoxOp) -> PlanRows {
         PlanRows {
             schema,
             op,
-            shipments: Shipments::default(),
+            stats: ExecStats::default(),
+            shipments: Vec::new(),
+            spill_before: coin_rel::thread_spill_stats(),
+            done: false,
         }
-    }
-
-    /// These rows pull from the streamed fetches `shipments` counts.
-    pub fn shipping(mut self, shipments: Shipments) -> PlanRows {
-        self.shipments = shipments;
-        self
     }
 
     pub fn schema(&self) -> &Schema {
         &self.schema
     }
 
-    /// The next result row; `None` when exhausted.
+    /// Execution statistics. `remote_queries` is final from the start;
+    /// `rows_shipped` and `comm_cost`, which count a streamed fetch's rows
+    /// as the pipeline pulls them, and the spill fields settle once the
+    /// stream has been drained ([`PlanRows::finished`]).
+    pub fn stats(&self) -> &ExecStats {
+        &self.stats
+    }
+
+    /// For a caller that adds what it knows of the run (the plan epoch,
+    /// cache counters) to [`PlanRows::stats`].
+    pub fn stats_mut(&mut self) -> &mut ExecStats {
+        &mut self.stats
+    }
+
+    /// Has the stream been drained to the end?
+    pub fn finished(&self) -> bool {
+        self.done
+    }
+
+    /// Put a downstream pipeline over these rows: `build` takes their
+    /// schema and operator and returns the pipeline's, and the result
+    /// settles this execution's statistics when *its* last row is pulled.
+    pub fn pipe<E>(
+        self,
+        build: impl FnOnce(Schema, BoxOp) -> Result<(Schema, BoxOp), E>,
+    ) -> Result<PlanRows, E> {
+        let (schema, op) = build(self.schema, self.op)?;
+        Ok(PlanRows { schema, op, ..self })
+    }
+
+    /// The next result row; `None` (repeatedly) once exhausted, when the
+    /// statistics are settled.
     ///
     /// Deliberately not `Iterator`: the signature is fallible
     /// (`Result<Option<Row>, _>`), matching `Operator::next`.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Row>, PlanError> {
-        self.op
-            .next()
-            .map_err(|e| PlanError::from(coin_rel::EngineError::from(e)))
+        if self.done {
+            return Ok(None);
+        }
+        let row = (self.op.next()).map_err(|e| PlanError::from(coin_rel::EngineError::from(e)))?;
+        if row.is_none() {
+            self.done = true;
+            // What the streamed fetches shipped, and what it cost — as
+            // staging adds a fetched table's when it arrives.
+            for shipment in &self.shipments {
+                let rows = shipment.rows.load(Relaxed);
+                self.stats.rows_shipped += rows;
+                self.stats.comm_cost +=
+                    shipment.cost.latency + shipment.cost.per_tuple * rows as f64;
+            }
+            let spilled = coin_rel::thread_spill_stats().since(&self.spill_before);
+            self.stats.spill_runs = spilled.runs_written;
+            self.stats.spill_bytes = spilled.bytes_spilled;
+            self.stats.spill_max_run_bytes = spilled.max_run_bytes;
+        }
+        Ok(row)
     }
 
-    /// Add what this plan's streamed fetches have shipped to `stats`:
-    /// called once, after the last row, it completes the statistics the
-    /// execution returned.
-    pub fn settle(&self, stats: &mut ExecStats) {
-        self.shipments.settle(stats);
-    }
-
-    /// Decompose into the raw operator (for feeding a downstream pipeline)
-    /// and the streamed fetches it pulls from.
-    pub fn into_parts(self) -> (Schema, BoxOp, Shipments) {
-        (self.schema, self.op, self.shipments)
+    /// Drain the rest into a table, with the settled statistics.
+    pub fn collect(mut self) -> Result<(Table, ExecStats), PlanError> {
+        let mut out = Vec::new();
+        while let Some(r) = self.next()? {
+            out.push(r);
+        }
+        let table = Table {
+            name: "result".into(),
+            schema: self.schema,
+            rows: out,
+        };
+        Ok((table, self.stats))
     }
 }
 
-/// The fetches a running plan streams, and what each has shipped so far.
-/// A streamed fetch counts its rows as the pipeline pulls them, so its
-/// `rows_shipped` and `comm_cost` are known only when its stream ends;
+/// One streamed fetch's row count, written only by its [`FetchFeed`]: its
+/// `rows_shipped` and `comm_cost` are known only when its stream ends, and
 /// its remote query is counted when it is opened.
-#[derive(Default)]
-pub struct Shipments(Vec<Arc<Shipment>>);
-
-/// One streamed fetch's row count, written only by its [`FetchFeed`].
 struct Shipment {
     rows: AtomicUsize,
     cost: CostParams,
-}
-
-impl Shipments {
-    /// Add the rows shipped so far, and what they cost, to `stats` — as
-    /// staging adds a fetched table's when it arrives.
-    pub fn settle(&self, stats: &mut ExecStats) {
-        for shipment in &self.0 {
-            let rows = shipment.rows.load(Relaxed);
-            stats.rows_shipped += rows;
-            stats.comm_cost += shipment.cost.latency + shipment.cost.per_tuple * rows as f64;
-        }
-    }
-
-    /// Take on `other`'s fetches too (the branches of one query).
-    pub fn extend(&mut self, other: Shipments) {
-        self.0.extend(other.0);
-    }
 }
 
 /// A streamed fetch entering the local pipeline in place of a staged
@@ -168,68 +202,75 @@ impl Operator for FetchFeed {
 
 /// Execute a plan, returning the result and execution statistics.
 pub fn execute_plan(plan: &Plan, dict: &Dictionary) -> Result<(Table, ExecStats), PlanError> {
-    collect(|| {
-        let (mut rows, stats) = execute_branches(std::slice::from_ref(plan), dict, None)?;
-        Ok((rows.pop().expect("one branch"), stats))
-    })
+    execute_branches(std::slice::from_ref(plan), true, dict, None)?.collect()
 }
 
-/// Start a row stream with `start` and drain it into a table. Execution is
-/// synchronous on this thread, so the thread-local spill counters, read
-/// before the start and after the drain, bracket exactly this query's disk
-/// activity.
-pub(crate) fn collect(
-    start: impl FnOnce() -> Result<(PlanRows, ExecStats), PlanError>,
-) -> Result<(Table, ExecStats), PlanError> {
-    let spill_before = coin_rel::thread_spill_stats();
-    let (mut rows, mut stats) = start()?;
-    let mut out = Vec::new();
-    while let Some(r) = rows.next()? {
-        out.push(r);
-    }
-    rows.settle(&mut stats);
-    let spilled = coin_rel::thread_spill_stats().since(&spill_before);
-    stats.spill_runs = spilled.runs_written;
-    stats.spill_bytes = spilled.bytes_spilled;
-    stats.spill_max_run_bytes = spilled.max_run_bytes;
-    Ok((
-        Table {
-            name: "result".into(),
-            schema: rows.schema,
-            rows: out,
-        },
-        stats,
-    ))
-}
-
-/// Fetch for all `branches` at once (see [`stage_branches`]) and build each
+/// Fetch for all `branches` at once (see [`stage_branches`]), build each
 /// branch's local pipeline over what was staged for it, with its streamed
-/// fetch, if any, fed in as a live input.
+/// fetch, if any, fed in as a live input, and stream the union of the
+/// branches — deduplicated unless `all`.
 pub(crate) fn execute_branches(
     branches: &[Plan],
+    all: bool,
     dict: &Dictionary,
     cancel: Option<CancelToken>,
-) -> Result<(Vec<PlanRows>, ExecStats), PlanError> {
+) -> Result<PlanRows, PlanError> {
+    use coin_rel::exec::{Distinct, Rebrand, UnionAll};
+
+    let spill_before = coin_rel::thread_spill_stats();
     let (staging, stats) = stage_branches(branches, dict, cancel.as_ref())?;
-    let rows = branches
-        .iter()
-        .zip(staging)
-        .map(|(plan, staged)| {
-            let (schema, op) = coin_rel::build_select_pipeline_cached(
-                &plan.local,
-                &staged.catalog,
-                staged.feed.into_iter().collect(),
-                cancel.clone(),
-                Some(&plan.programs),
-            )?;
-            Ok(PlanRows {
-                schema,
-                op,
-                shipments: staged.shipments,
-            })
-        })
-        .collect::<Result<_, PlanError>>()?;
-    Ok((rows, stats))
+    let mut shipments = Vec::new();
+    let mut ops: Vec<BoxOp> = Vec::new();
+    let mut schema: Option<Schema> = None;
+    for (plan, staged) in branches.iter().zip(staging) {
+        let mut feeds = coin_rel::Feeds::new();
+        if let Some((binding, feed)) = staged.feed {
+            shipments.push(Arc::clone(&feed.shipment));
+            feeds.insert(binding, Box::new(feed));
+        }
+        let (sch, op) = coin_rel::build_select_pipeline_cached(
+            &plan.local,
+            &staged.catalog,
+            feeds,
+            cancel.clone(),
+            Some(&plan.programs),
+        )?;
+        match &schema {
+            None => {
+                schema = Some(sch);
+                ops.push(op);
+            }
+            Some(first) => {
+                if sch.len() != first.len() {
+                    return Err(PlanError::Unsupported(
+                        "UNION branches with different arities".into(),
+                    ));
+                }
+                // Re-brand with the first branch's column names so the
+                // union presents one schema.
+                ops.push(Box::new(Rebrand::new(op, first.clone())));
+            }
+        }
+    }
+    let schema = schema.ok_or_else(|| PlanError::Unsupported("empty union".into()))?;
+    let mut op: BoxOp = match ops.len() {
+        1 => ops.pop().expect("one branch"),
+        _ => Box::new(UnionAll::new(ops)),
+    };
+    if !all {
+        // Set semantics: the Distinct operator emits in total row
+        // order — the same sorted, deduplicated sequence the
+        // materialized sort+dedup produced.
+        op = Box::new(Distinct::new(op));
+    }
+    Ok(PlanRows {
+        schema,
+        op,
+        stats,
+        shipments,
+        spill_before,
+        done: false,
+    })
 }
 
 /// A wave overlaps its fetches when that should save more than this much
@@ -244,11 +285,17 @@ const FAN_OUT_GAIN_NS: u64 = 500_000;
 /// dependent step with thousands of parameter values.
 const MAX_FAN_OUT: usize = 16;
 
-/// A fetch estimated to ship fewer rows than this is staged, not streamed:
-/// its table fills in microseconds and is small on the heap, while a stream
-/// adds a feed, its count and an operator per row to the branch. A
-/// constant, like the fan-out ones: it weighs two costs of this program,
-/// not of a deployment.
+/// A fetch estimated to ship fewer rows than this is staged, not streamed.
+/// A large fetch streams so that the first result row need not wait for
+/// it; a small one fills its table in microseconds, and streaming it cost
+/// more than it saved. What the threshold protects is `coin-e2e`
+/// `fig2_warm`, the Figure-2 mix of small results, whose `queries_per_s`
+/// and `query_p50_ms` should not move when large fetches stream: with every
+/// eligible fetch streamed it served 8–10 % fewer queries per second in 5
+/// of 6 alternating runs on a 2-vCPU machine (`query_p50_ms` +10–15 % in
+/// 4 of 6), which stays inside the benchmark's 25 % bound but buys nothing
+/// except 3 % of heap. A constant, like the fan-out ones: it weighs two
+/// costs of this program, not of a deployment.
 const STREAM_FROM_ROWS: f64 = 1024.0;
 
 /// What the scheduler made of one branch's fetch steps: a scratch catalog
@@ -257,8 +304,7 @@ const STREAM_FROM_ROWS: f64 = 1024.0;
 #[derive(Default)]
 struct Staged {
     catalog: Catalog,
-    feed: Option<(String, BoxOp)>,
-    shipments: Shipments,
+    feed: Option<(String, FetchFeed)>,
 }
 
 /// The fetch scheduler: run every fetch step of every branch and stage the
@@ -276,12 +322,15 @@ struct Staged {
 /// In a wave that runs on the calling thread, one fetch per branch is
 /// opened as a stream rather than staged: the independent step with the
 /// largest row estimate, if it is at least [`STREAM_FROM_ROWS`], whose
-/// query no other step shares and whose rows feed no dependent step. The branch's pipeline pulls its rows from the
-/// source, so the first result row need not wait for the whole fetch, and
-/// its rows are never held as a table. A wave that fans out stages every
-/// fetch: it fans out because its sources wait, and a streamed fetch would
-/// do whatever waiting comes after its first row on the thread that pulls
-/// the result, after the wave, one source after another.
+/// query no other step shares and whose rows feed no dependent step. The
+/// branch's pipeline pulls its rows from the source, so the first result
+/// row need not wait for the whole fetch, and its rows are never held as a
+/// table. A wave that fans out stages every fetch. That costs nothing
+/// today: the sources that wait answer `execute_stream` through its
+/// provided default, which does all its work at open anyway. What it keeps
+/// still is the `coin-e2e` `slow_sources` `peak_heap_mib` reading, which
+/// loses what a fan-out helper thread allocated when the thread exits
+/// (ROADMAP 6(a)); the rule can go once that counter is fixed.
 ///
 /// Requests, jobs, staging, statistics and the choice of error all follow
 /// plan order (branch, then step, then combination) whichever way a wave
@@ -474,7 +523,7 @@ impl<'p> Wave<'p> {
         let mut streams: Vec<Option<(Schema, BoxOp)>> = Vec::with_capacity(fetched.len());
         for (job, fetched) in self.jobs.iter().zip(fetched) {
             // A streamed query is counted when it is opened; its rows and
-            // their cost when its stream ends (`Shipments::settle`).
+            // their cost when its stream ends (`PlanRows::next`).
             stats.remote_queries += 1;
             match fetched {
                 Fetched::Table(mut table) => {
@@ -511,11 +560,10 @@ impl<'p> Wave<'p> {
                         rows: AtomicUsize::new(0),
                         cost: self.jobs[only].from.source.capabilities().cost,
                     });
-                    staged.shipments.0.push(Arc::clone(&shipment));
                     // The catalog entry only lends the feed's schema to
                     // name resolution; the pipeline scans the feed.
                     staged.catalog.add_table(Table::new(step.binding(), schema));
-                    let feed = Box::new(FetchFeed { rows, shipment });
+                    let feed = FetchFeed { rows, shipment };
                     staged.feed = Some((step.binding().to_owned(), feed));
                     continue;
                 }

@@ -23,7 +23,7 @@ pub mod optimize;
 pub mod plan;
 
 pub use dictionary::{DictError, Dictionary};
-pub use exec::{execute_plan, ExecStats, PlanRows, Shipments};
+pub use exec::{execute_plan, ExecStats, PlanRows};
 pub use optimize::Planner;
 pub use plan::{FetchStep, ParamBinding, Plan, PlanError, QueryPlan};
 
@@ -49,7 +49,7 @@ impl Planner {
     /// set semantics unless the plan came from UNION ALL or a single
     /// SELECT).
     pub fn execute_planned(&self, plan: &QueryPlan) -> Result<(Table, ExecStats), PlanError> {
-        exec::collect(|| self.execute_planned_stream(plan, None))
+        self.execute_planned_stream(plan, None)?.collect()
     }
 
     /// Execute a compiled [`QueryPlan`] as a row stream: the fetch steps of
@@ -59,58 +59,15 @@ impl Planner {
     /// may open its largest fetch as a stream that the pipeline pulls from
     /// the source. Local joins, residuals, the UNION merge and
     /// set-semantics deduplication all stream — nothing materializes the
-    /// combined result. The returned [`ExecStats`] counts every remote
-    /// query; what the streamed fetches ship is added by
-    /// [`PlanRows::settle`] once the stream is drained. Spill statistics
-    /// accrue on the pulling thread while the stream drains; callers
-    /// wanting per-query spill accounting bracket the drain with
-    /// [`coin_rel::thread_spill_stats`].
+    /// combined result. The rows carry their statistics
+    /// ([`PlanRows::stats`]): every remote query from the start, what the
+    /// streamed fetches shipped and the spill counters once drained.
     pub fn execute_planned_stream(
         &self,
         plan: &QueryPlan,
         cancel: Option<coin_rel::CancelToken>,
-    ) -> Result<(exec::PlanRows, ExecStats), PlanError> {
-        use coin_rel::exec::{Distinct, Rebrand, UnionAll};
-
-        let (branches, stats) = exec::execute_branches(&plan.branches, &self.dictionary, cancel)?;
-        let mut ops: Vec<coin_rel::BoxOp> = Vec::new();
-        let mut schema: Option<coin_rel::Schema> = None;
-        let mut shipments = exec::Shipments::default();
-        for rows in branches {
-            let (sch, op, shipped) = rows.into_parts();
-            shipments.extend(shipped);
-            match &schema {
-                None => {
-                    schema = Some(sch);
-                    ops.push(op);
-                }
-                Some(first) => {
-                    if sch.len() != first.len() {
-                        return Err(PlanError::Unsupported(
-                            "UNION branches with different arities".into(),
-                        ));
-                    }
-                    // Re-brand with the first branch's column names so the
-                    // union presents one schema.
-                    ops.push(Box::new(Rebrand::new(op, first.clone())));
-                }
-            }
-        }
-        let schema = schema.ok_or_else(|| PlanError::Unsupported("empty union".into()))?;
-        let mut op: coin_rel::BoxOp = match ops.len() {
-            1 => ops.pop().expect("one branch"),
-            _ => Box::new(UnionAll::new(ops)),
-        };
-        if !plan.all {
-            // Set semantics: the Distinct operator emits in total row
-            // order — the same sorted, deduplicated sequence the
-            // materialized sort+dedup produced.
-            op = Box::new(Distinct::new(op));
-        }
-        Ok((
-            exec::PlanRows::from_parts(schema, op).shipping(shipments),
-            stats,
-        ))
+    ) -> Result<PlanRows, PlanError> {
+        exec::execute_branches(&plan.branches, plan.all, &self.dictionary, cancel)
     }
 
     /// Plan and execute a full query — the compile-and-run convenience
@@ -126,12 +83,13 @@ impl Planner {
     }
 
     /// Parse, plan and execute SQL text as a row stream (the streaming
-    /// counterpart of [`Planner::run_sql`]).
+    /// counterpart of [`Planner::run_sql`]); its statistics are complete
+    /// once it is drained ([`PlanRows::stats`]).
     pub fn run_sql_stream(
         &self,
         sql: &str,
         cancel: Option<coin_rel::CancelToken>,
-    ) -> Result<(exec::PlanRows, ExecStats), PlanError> {
+    ) -> Result<PlanRows, PlanError> {
         let q = coin_sql::parse_query(sql)?;
         self.execute_planned_stream(&self.plan_query(&q)?, cancel)
     }

@@ -176,12 +176,12 @@ fn waiting_sources_overlap_after_one_warm_up() {
 }
 
 /// A branch's one large independent fetch is opened as a stream: its
-/// query is counted at once, its rows when the stream is settled, and the
+/// query is counted at once, its rows when the stream ends, and the
 /// source's wait before its first row is measured as a staged fetch's is,
 /// so `observed_wait` moves and later waves can overlap it. A fetch too
 /// small to stream is staged and counted at once.
 #[test]
-fn a_streamed_fetch_is_counted_on_settling_and_timed_on_opening() {
+fn a_streamed_fetch_is_counted_when_drained_and_timed_on_opening() {
     let _quiet = one_at_a_time();
     const LATENCY: Duration = Duration::from_millis(20);
     const ROWS: usize = 2_000;
@@ -206,19 +206,23 @@ fn a_streamed_fetch_is_counted_on_settling_and_timed_on_opening() {
         plan("SELECT big.id FROM big WHERE big.id = 7"),
     );
     for _ in 0..2 {
-        let (mut rows, mut stats) = planner.execute_planned_stream(&whole, None).unwrap();
+        let mut rows = planner.execute_planned_stream(&whole, None).unwrap();
+        let stats = rows.stats();
         assert_eq!((stats.remote_queries, stats.rows_shipped), (1, 0));
         let mut n = 0;
         while rows.next().unwrap().is_some() {
             n += 1;
         }
-        rows.settle(&mut stats);
+        // Settled once, at the end: pulling past it adds nothing.
+        assert!(rows.next().unwrap().is_none());
+        let stats = rows.stats();
         assert_eq!(
             (n, stats.remote_queries, stats.rows_shipped),
             (ROWS, 1, ROWS)
         );
     }
-    let (_, stats) = planner.execute_planned_stream(&few, None).unwrap();
+    let rows = planner.execute_planned_stream(&few, None).unwrap();
+    let stats = rows.stats();
     assert_eq!((stats.remote_queries, stats.rows_shipped), (1, 1));
     assert_eq!(probe.calls.load(SeqCst), 3);
     // The first fetch is timed unmeasured (at most 125 µs of wait), the

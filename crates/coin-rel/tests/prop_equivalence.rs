@@ -187,14 +187,11 @@ impl Ord for GroupKey {
 }
 
 /// The pre-optimization aggregation, kept as an oracle: rows grouped in a
-/// `BTreeMap` by their evaluated key, each group's aggregates computed by a
-/// global `Aggregate` over its own rows; with no GROUP BY, one row even
-/// over no input.
-fn btree_aggregate(
-    rows: Vec<Row>,
-    group_exprs: &[CExpr],
-    specs: impl Fn() -> Vec<AggSpec>,
-) -> Vec<Row> {
+/// `BTreeMap` by their key evaluated with the tree-walking `CExpr::eval`,
+/// and every aggregate folded by hand over its group ([`fold_group`]), so that
+/// nothing but the value type is shared with [`Aggregate`]; with no GROUP
+/// BY, one row even over no input.
+fn btree_aggregate(rows: Vec<Row>, group_exprs: &[CExpr], specs: &[AggSpec]) -> Vec<Row> {
     let mut groups: BTreeMap<GroupKey, Vec<Row>> = BTreeMap::new();
     for row in rows {
         let key = group_exprs.iter().map(|e| e.eval(&row).unwrap());
@@ -205,12 +202,49 @@ fn btree_aggregate(
     }
     (groups.into_iter())
         .map(|(key, rows)| {
-            let agg = Aggregate::new(scan(rows), vec![], specs(), Schema::default());
             let mut row = key.0;
-            row.extend(drain(Box::new(agg)).unwrap().remove(0));
+            row.extend(specs.iter().map(|spec| fold_group(spec, &rows)));
             row
         })
         .collect()
+}
+
+/// One aggregate over one group, by its SQL definition: COUNT(*) counts
+/// rows and every other aggregate skips NULL arguments; COUNT of none is 0
+/// and the others NULL; SUM is an integer while every argument is one;
+/// MIN and MAX keep the first of equal values.
+fn fold_group(spec: &AggSpec, rows: &[Row]) -> Value {
+    let args: Vec<Value> = match &spec.arg {
+        None => Vec::new(),
+        Some(e) => (rows.iter())
+            .map(|row| e.eval(row).unwrap())
+            .filter(|v| !v.is_null())
+            .collect(),
+    };
+    let ints: Option<Vec<i64>> = (args.iter())
+        .map(|v| match v {
+            Value::Int(i) => Some(*i),
+            _ => None,
+        })
+        .collect();
+    let float_sum = || args.iter().fold(0.0, |s, v| s + v.as_f64().unwrap());
+    let extreme = |keep: std::cmp::Ordering| {
+        (args.iter().cloned())
+            .reduce(|best, v| if v.total_cmp(&best) == keep { v } else { best })
+            .unwrap_or(Value::Null)
+    };
+    match spec.f {
+        AggFn::CountStar => Value::Int(rows.len() as i64),
+        AggFn::Count => Value::Int(args.len() as i64),
+        _ if args.is_empty() => Value::Null,
+        AggFn::Sum => match ints {
+            Some(ints) => Value::Int(ints.iter().sum()),
+            None => Value::Float(float_sum()),
+        },
+        AggFn::Avg => Value::Float(float_sum() / args.len() as f64),
+        AggFn::Min => extreme(std::cmp::Ordering::Less),
+        AggFn::Max => extreme(std::cmp::Ordering::Greater),
+    }
 }
 
 proptest! {
@@ -329,7 +363,7 @@ proptest! {
         let agg = Aggregate::new(
             scan(rows.clone()), vec![CExpr::Col(0)], count_sum_specs(), agg_schema());
         let new = drain(Box::new(agg)).unwrap();
-        let old = btree_aggregate(rows, &[CExpr::Col(0)], count_sum_specs);
+        let old = btree_aggregate(rows, &[CExpr::Col(0)], &count_sum_specs());
         prop_assert_eq!(new, old);
     }
 
@@ -344,14 +378,14 @@ proptest! {
         let agg = Aggregate::new(
             scan(rows.clone()), vec![CExpr::Col(0), CExpr::Col(1)], specs(), schema.clone());
         let new = drain(Box::new(agg)).unwrap();
-        let old = btree_aggregate(rows.clone(), &[CExpr::Col(0), CExpr::Col(1)], specs);
+        let old = btree_aggregate(rows.clone(), &[CExpr::Col(0), CExpr::Col(1)], &specs());
         prop_assert_eq!(new, old);
 
         // Global (no GROUP BY): one row even over the empty input.
         let gschema = Schema::of(&[("n", ColumnType::Int)]);
         let agg = Aggregate::new(scan(rows.clone()), vec![], specs(), gschema.clone());
         let new = drain(Box::new(agg)).unwrap();
-        let old = btree_aggregate(rows, &[], specs);
+        let old = btree_aggregate(rows, &[], &specs());
         prop_assert_eq!(&new, &old);
         prop_assert_eq!(new.len(), 1);
     }

@@ -211,21 +211,21 @@ impl Limits {
 
 /// The row pipeline behind one `/query` response.
 enum RowSource {
-    Naive { rows: PlanRows, remote_queries: u64 },
+    Naive(PlanRows),
     Mediated(Box<MediatedRows>),
 }
 
 impl RowSource {
     fn schema(&self) -> &Schema {
         match self {
-            RowSource::Naive { rows, .. } => rows.schema(),
+            RowSource::Naive(rows) => rows.schema(),
             RowSource::Mediated(rows) => rows.schema(),
         }
     }
 
     fn next(&mut self) -> Result<Option<coin_rel::Row>, String> {
         match self {
-            RowSource::Naive { rows, .. } => rows.next().map_err(|e| e.to_string()),
+            RowSource::Naive(rows) => rows.next().map_err(|e| e.to_string()),
             RowSource::Mediated(rows) => rows.next().map_err(|e| e.to_string()),
         }
     }
@@ -304,8 +304,10 @@ impl QueryStream {
     fn finish(&mut self) -> Result<Option<Vec<u8>>, String> {
         self.buf.end_arr();
         match &self.source {
-            RowSource::Naive { remote_queries, .. } => {
-                self.buf.key("remote_queries").num(*remote_queries as f64);
+            RowSource::Naive(rows) => {
+                self.buf
+                    .key("remote_queries")
+                    .num(rows.stats().remote_queries as f64);
             }
             RowSource::Mediated(rows) => {
                 self.buf
@@ -500,13 +502,10 @@ fn query_response(system: &CoinSystem, body: &str) -> Result<HttpResponse, Strin
         "naive" => {
             let flag = Arc::new(AtomicBool::new(false));
             let cancel = CancelToken::from_shared(Arc::clone(&flag));
-            let (rows, stats) = system
+            let rows = system
                 .query_naive_stream(sql, Some(cancel))
                 .map_err(|e| e.to_string())?;
-            let source = RowSource::Naive {
-                rows,
-                remote_queries: stats.remote_queries as u64,
-            };
+            let source = RowSource::Naive(rows);
             query_stream_response(QueryStream::new(source, limits), stream, flag)
         }
         "mediated" | "explain" => {
@@ -583,10 +582,9 @@ mod tests {
         rows.extend((0..2 * STREAM_BATCH_ROWS as i64).map(|i| vec![Value::Int(i), Value::Null]));
         let t = Table::from_rows("x", schema.clone(), rows);
         let scan = coin_rel::exec::ValuesScan::new(schema.clone(), t.rows.clone());
-        let source = RowSource::Naive {
-            rows: PlanRows::from_parts(schema, Box::new(scan)),
-            remote_queries: 3,
-        };
+        let mut rows = PlanRows::from_parts(schema, Box::new(scan));
+        rows.stats_mut().remote_queries = 3;
+        let source = RowSource::Naive(rows);
         let limits = Limits {
             max_rows: 0,
             max_bytes: 0,
